@@ -1,7 +1,6 @@
 #include "cache/query_artifact_cache.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -10,12 +9,6 @@
 namespace bionav {
 
 namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Global mirrors of the per-cache counters_, so STATS/METRICS expose cache
 // effectiveness without holding any cache's lock (same pattern as the

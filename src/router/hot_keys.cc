@@ -1,18 +1,13 @@
 #include "router/hot_keys.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+
+#include "util/timer.h"
 
 namespace bionav {
 
 namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr double kLn2 = 0.6931471805599453;
 

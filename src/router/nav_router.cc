@@ -1,15 +1,12 @@
 #include "router/nav_router.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -18,34 +15,11 @@
 #include "core/json_export.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace bionav {
 
 namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int64_t SteadyNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-effort one-line reply on a socket about to be closed (accept-path
-/// shedding). Always JSON, as in NavServer: the reply may precede the
-/// peer's first byte, and binary clients recognize '{' as the fallback.
-void SendLineBestEffort(int fd, std::string line) {
-  line.push_back('\n');
-  [[maybe_unused]] ssize_t n =
-      ::send(fd, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-}
-
-/// iovec segments per sendmsg on the downstream flush path.
-constexpr size_t kMaxIov = 64;
 
 constexpr size_t kNoBackend = static_cast<size_t>(-1);
 
@@ -88,12 +62,6 @@ void AppendWireFrame(std::string* out, WireProto proto,
   out->push_back('\n');
 }
 
-Counter* RequestsCounter() {
-  static Counter* counter = GlobalMetrics().GetCounter(
-      "bionav_router_requests_total", "Request frames received by the router");
-  return counter;
-}
-
 Counter* ForwardedCounter() {
   static Counter* counter = GlobalMetrics().GetCounter(
       "bionav_router_forwarded_total", "Requests forwarded to backends");
@@ -104,13 +72,6 @@ Counter* RetryLaterCounter() {
   static Counter* counter = GlobalMetrics().GetCounter(
       "bionav_router_retry_later_total",
       "Requests answered RETRY_LATER by the router");
-  return counter;
-}
-
-Counter* ProtocolErrorsCounter() {
-  static Counter* counter = GlobalMetrics().GetCounter(
-      "bionav_router_protocol_errors_total",
-      "Request frames rejected by the router before forwarding");
   return counter;
 }
 
@@ -125,13 +86,6 @@ Counter* ProbeFailuresCounter() {
   static Counter* counter = GlobalMetrics().GetCounter(
       "bionav_router_probe_failures_total", "Health probes that failed");
   return counter;
-}
-
-Gauge* OpenConnectionsGauge() {
-  static Gauge* gauge = GlobalMetrics().GetGauge(
-      "bionav_router_open_connections",
-      "Downstream connections currently open");
-  return gauge;
 }
 
 Gauge* PinnedSessionsGauge() {
@@ -168,17 +122,14 @@ NavRouter::NavRouter(std::vector<RouterBackend> backends,
                      NavRouterOptions options)
     : options_(std::move(options)),
       ring_(HashRingOptions{options_.ring_vnodes, options_.ring_seed}),
+      frontend_(options_, "router",
+                [this](const ConnPtr& conn, uint64_t seq, std::string& payload,
+                       bool /*no_backlog*/) {
+                  RouteFrame(conn, seq, payload);
+                }),
       hot_keys_(HotKeyTracker::Options{options_.hot_key_halflife_ms,
                                        /*max_keys=*/4096, /*clock=*/{}}) {
   BIONAV_CHECK(!backends.empty()) << "NavRouter needs at least one backend";
-  if (options_.io_threads < 1) options_.io_threads = 1;
-  if (options_.max_connections < 1) options_.max_connections = 1;
-  if (options_.max_inflight_per_connection < 1) {
-    options_.max_inflight_per_connection = 1;
-  }
-  if (options_.max_write_queue_bytes < 4096) {
-    options_.max_write_queue_bytes = 4096;
-  }
   if (options_.max_upstream_queue_bytes < 4096) {
     options_.max_upstream_queue_bytes = 4096;
   }
@@ -201,480 +152,28 @@ NavRouter::NavRouter(std::vector<RouterBackend> backends,
 }
 
 Status NavRouter::Start() {
-  BIONAV_CHECK(!started_.load()) << "NavRouter started twice";
-
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status status =
-        Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, 512) != 0) {
-    Status status =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-
-  loops_.clear();
-  loop_conns_.clear();
-  loop_upstreams_.clear();
-  for (int i = 0; i < options_.io_threads; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>());
-  }
-  loop_conns_.resize(loops_.size());
-  loop_upstreams_.resize(loops_.size());
+  // Per-loop state is sized before the loops start taking connections.
+  loop_upstreams_.assign(frontend_.num_loops(), {});
   size_t slots = backends_.size() * static_cast<size_t>(kNumWireProtos) *
                  static_cast<size_t>(options_.upstream_pool_size);
   for (auto& pool : loop_upstreams_) pool.resize(slots);
   probes_.assign(backends_.size(), nullptr);
   RefreshHealthyGauge();
 
-  Status added = loops_[0]->Add(listen_fd_, EventLoop::kReadable,
-                                [this](uint32_t) { OnAcceptable(); });
-  if (!added.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return added;
-  }
-
-  started_.store(true);
-  for (size_t i = 0; i < loops_.size(); ++i) {
-    io_threads_.emplace_back([this, i] { IoThreadMain(i); });
-  }
+  Status started = frontend_.Start();
+  if (!started.ok()) return started;
   if (options_.health_interval_ms > 0) {
-    loops_[0]->RunInLoop([this] { ArmHealthTimer(); });
+    frontend_.loop(0)->RunInLoop([this] { ArmHealthTimer(); });
   }
   return Status::OK();
-}
-
-void NavRouter::IoThreadMain(size_t loop_index) {
-  loops_[loop_index]->Run();
-}
-
-// ---------------------------------------------------------------------------
-// Downstream path (the NavServer reactor shape; see nav_server.cc)
-// ---------------------------------------------------------------------------
-
-void NavRouter::OnAcceptable() {
-  while (true) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN (drained) or listener gone.
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (shutting_down_.load(std::memory_order_acquire)) {
-      SendLineBestEffort(
-          fd, ErrorReply(WireError::kShuttingDown, "router is draining"));
-      ::close(fd);
-      continue;
-    }
-    if (connections_open_.load(std::memory_order_acquire) >=
-        options_.max_connections) {
-      SendLineBestEffort(fd, ErrorReply(WireError::kRetryLater,
-                                        "router at capacity, retry later"));
-      ::close(fd);
-      connections_shed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    AdmitConnection(fd);
-  }
-}
-
-void NavRouter::AdmitConnection(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  connections_open_.fetch_add(1, std::memory_order_acq_rel);
-  OpenConnectionsGauge()->Add(1);
-
-  size_t loop_index =
-      next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  ConnPtr conn = std::make_shared<Conn>(options_.max_frame_bytes);
-  conn->conn_id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  conn->fd = fd;
-  conn->loop_index = loop_index;
-  conn->last_activity_ms = SteadyNowMs();
-
-  EventLoop* loop = loops_[loop_index].get();
-  loop->RunInLoop([this, loop, conn] {
-    if (shutting_down_.load(std::memory_order_acquire)) {
-      SendLineBestEffort(conn->fd, ErrorReply(WireError::kShuttingDown,
-                                              "router is draining"));
-      ::close(conn->fd);
-      conn->closed = true;
-      connections_open_.fetch_sub(1, std::memory_order_acq_rel);
-      OpenConnectionsGauge()->Add(-1);
-      drain_cv_.notify_all();
-      return;
-    }
-    loop_conns_[conn->loop_index].emplace(conn->fd, conn);
-    Status added = loop->Add(conn->fd, EventLoop::kReadable,
-                             [this, conn](uint32_t events) {
-                               OnConnectionEvent(conn, events);
-                             });
-    if (!added.ok()) {
-      loop_conns_[conn->loop_index].erase(conn->fd);
-      ::close(conn->fd);
-      conn->closed = true;
-      connections_open_.fetch_sub(1, std::memory_order_acq_rel);
-      OpenConnectionsGauge()->Add(-1);
-      drain_cv_.notify_all();
-      return;
-    }
-    ArmIdleTimer(conn);
-  });
-}
-
-void NavRouter::OnConnectionEvent(const ConnPtr& conn, uint32_t events) {
-  if (conn->closed) return;
-  if (events & EventLoop::kError) {
-    CloseConnection(conn);
-    return;
-  }
-  if (events & EventLoop::kWritable) FlushWrites(conn);
-  if (conn->closed) return;
-  if (events & EventLoop::kReadable) ReadConnection(conn);
-}
-
-bool NavRouter::FeedConnection(const ConnPtr& conn, std::string_view data) {
-  if (!conn->proto_decided) {
-    conn->preamble.append(data.data(), data.size());
-    if (conn->preamble.empty()) return true;
-    if (conn->preamble[0] != kBinaryPreamble[0]) {
-      conn->proto = WireProto::kJson;
-      conn->proto_decided = true;
-      std::string buffered = std::move(conn->preamble);
-      conn->preamble.clear();
-      return conn->decoder.Feed(buffered);
-    }
-    if (conn->preamble.size() < sizeof(kBinaryPreamble)) return true;
-    if (std::memcmp(conn->preamble.data(), kBinaryPreamble,
-                    sizeof(kBinaryPreamble)) != 0) {
-      conn->preamble_error = true;
-      return false;
-    }
-    conn->proto = WireProto::kBinary;
-    conn->proto_decided = true;
-    std::string buffered = std::move(conn->preamble);
-    conn->preamble.clear();
-    return conn->bdecoder.Feed(
-        std::string_view(buffered).substr(sizeof(kBinaryPreamble)));
-  }
-  return conn->proto == WireProto::kBinary ? conn->bdecoder.Feed(data)
-                                           : conn->decoder.Feed(data);
-}
-
-bool NavRouter::HasBufferedFrame(const ConnPtr& conn) const {
-  if (!conn->proto_decided) return false;
-  return conn->proto == WireProto::kBinary ? conn->bdecoder.has_frame()
-                                           : conn->decoder.has_frame();
-}
-
-bool NavRouter::NextBufferedFrame(const ConnPtr& conn, std::string* payload) {
-  if (!conn->proto_decided) return false;
-  return conn->proto == WireProto::kBinary ? conn->bdecoder.Next(payload)
-                                           : conn->decoder.Next(payload);
-}
-
-bool NavRouter::DecoderBroken(const ConnPtr& conn) const {
-  if (conn->preamble_error) return true;
-  if (!conn->proto_decided) return false;
-  return conn->proto == WireProto::kBinary ? conn->bdecoder.broken()
-                                           : conn->decoder.overflowed();
-}
-
-void NavRouter::ReadConnection(const ConnPtr& conn) {
-  char chunk[16384];
-  int64_t received = 0;
-  bool peer_eof = false;
-  for (int i = 0; i < 4; ++i) {
-    ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      received += n;
-      if (!FeedConnection(conn,
-                          std::string_view(chunk, static_cast<size_t>(n)))) {
-        break;  // Preamble error or broken decoder; handled below.
-      }
-      if (static_cast<size_t>(n) < sizeof(chunk)) break;
-      continue;
-    }
-    if (n == 0) {
-      peer_eof = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseConnection(conn);
-    return;
-  }
-  if (received > 0) {
-    conn->last_activity_ms = SteadyNowMs();
-    bytes_rx_.fetch_add(received, std::memory_order_relaxed);
-  }
-
-  DispatchFrames(conn);
-  if (conn->closed) return;
-
-  if (conn->preamble_error && !conn->draining) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    ProtocolErrorsCounter()->Increment();
-    CountRequest();
-    uint64_t seq = conn->next_dispatch_seq++;
-    ++conn->inflight;
-    conn->draining = true;
-    conn->close_after_flush = true;
-    CompleteRequest(conn, seq,
-                    WireResponse::Error(WireProto::kJson,
-                                        WireError::kBadRequest,
-                                        "unrecognized protocol preamble"));
-    return;
-  }
-  if (DecoderBroken(conn) && !conn->draining) {
-    bool oversized = conn->proto == WireProto::kBinary
-                         ? conn->bdecoder.overflowed()
-                         : conn->decoder.overflowed();
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    ProtocolErrorsCounter()->Increment();
-    CountRequest();
-    uint64_t seq = conn->next_dispatch_seq++;
-    ++conn->inflight;
-    conn->draining = true;
-    conn->close_after_flush = true;
-    std::string message =
-        oversized ? "request frame exceeds " +
-                        std::to_string(options_.max_frame_bytes) + " bytes"
-                  : "malformed binary frame header";
-    CompleteRequest(conn, seq,
-                    WireResponse::Error(conn->proto, WireError::kBadRequest,
-                                        message));
-    return;
-  }
-  if (peer_eof) {
-    conn->close_after_flush = true;
-    UpdateInterest(conn);
-    if (conn->inflight == 0 && conn->write_queue.empty() &&
-        !HasBufferedFrame(conn)) {
-      CloseConnection(conn);
-    }
-    return;
-  }
-  UpdateInterest(conn);
-}
-
-void NavRouter::DispatchFrames(const ConnPtr& conn) {
-  if (conn->dispatching) return;
-  conn->dispatching = true;
-  std::string payload;
-  while (!conn->closed) {
-    if (conn->draining) {
-      if (!NextBufferedFrame(conn, &payload)) break;
-      if (payload.empty() && conn->proto == WireProto::kJson) continue;
-      CountRequest();
-      uint64_t seq = conn->next_dispatch_seq++;
-      ++conn->inflight;
-      CompleteRequest(conn, seq,
-                      WireResponse::Error(conn->proto,
-                                          WireError::kShuttingDown,
-                                          "router is draining"));
-      continue;
-    }
-    if (conn->inflight >= options_.max_inflight_per_connection) break;
-    if (!NextBufferedFrame(conn, &payload)) break;
-    if (payload.empty() && conn->proto == WireProto::kJson) continue;
-    uint64_t seq = conn->next_dispatch_seq++;
-    ++conn->inflight;
-    RouteFrame(conn, seq, payload);
-  }
-  conn->dispatching = false;
-}
-
-void NavRouter::CompleteRequest(const ConnPtr& conn, uint64_t seq,
-                                WireFrame response) {
-  if (conn->closed) return;
-  --conn->inflight;
-  if (seq == conn->next_release_seq && conn->completed.empty()) {
-    conn->write_queue_bytes += response.size();
-    conn->write_queue.push_back(std::move(response));
-    ++conn->next_release_seq;
-  } else {
-    conn->completed.emplace(seq, std::move(response));
-    while (!conn->completed.empty() &&
-           conn->completed.begin()->first == conn->next_release_seq) {
-      WireFrame& ready = conn->completed.begin()->second;
-      conn->write_queue_bytes += ready.size();
-      conn->write_queue.push_back(std::move(ready));
-      conn->completed.erase(conn->completed.begin());
-      ++conn->next_release_seq;
-    }
-  }
-  FlushWrites(conn);
-  if (conn->closed) return;
-  if (HasBufferedFrame(conn)) DispatchFrames(conn);
-  if (!conn->closed) UpdateInterest(conn);
-}
-
-void NavRouter::FlushWrites(const ConnPtr& conn) {
-  while (!conn->write_queue.empty()) {
-    iovec iov[kMaxIov];
-    size_t iov_count = 0;
-    size_t batch_bytes = 0;
-    size_t skip = conn->write_offset;
-    for (const WireFrame& frame : conn->write_queue) {
-      if (iov_count + 2 > kMaxIov) break;
-      if (skip < frame.head.size()) {
-        iov[iov_count].iov_base = const_cast<char*>(frame.head.data()) + skip;
-        iov[iov_count].iov_len = frame.head.size() - skip;
-        batch_bytes += iov[iov_count].iov_len;
-        ++iov_count;
-        skip = 0;
-      } else {
-        skip -= frame.head.size();
-      }
-      if (frame.body != nullptr) {
-        if (skip < frame.body->size()) {
-          iov[iov_count].iov_base =
-              const_cast<char*>(frame.body->data()) + skip;
-          iov[iov_count].iov_len = frame.body->size() - skip;
-          batch_bytes += iov[iov_count].iov_len;
-          ++iov_count;
-          skip = 0;
-        } else {
-          skip -= frame.body->size();
-        }
-      }
-    }
-    if (iov_count == 0) break;
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = iov_count;
-    ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConnection(conn);
-      return;
-    }
-    conn->write_queue_bytes -= static_cast<size_t>(n);
-    conn->write_offset += static_cast<size_t>(n);
-    bytes_tx_.fetch_add(n, std::memory_order_relaxed);
-    while (!conn->write_queue.empty() &&
-           conn->write_offset >= conn->write_queue.front().size()) {
-      conn->write_offset -= conn->write_queue.front().size();
-      conn->write_queue.pop_front();
-    }
-    if (static_cast<size_t>(n) < batch_bytes) break;
-  }
-  UpdateInterest(conn);
-  if (conn->close_after_flush && conn->inflight == 0 &&
-      conn->write_queue.empty() && conn->completed.empty() &&
-      !HasBufferedFrame(conn)) {
-    CloseConnection(conn);
-  }
-}
-
-void NavRouter::UpdateInterest(const ConnPtr& conn) {
-  if (conn->closed) return;
-  bool want_read = !conn->draining && !conn->close_after_flush &&
-                   !DecoderBroken(conn) &&
-                   conn->inflight < options_.max_inflight_per_connection &&
-                   conn->write_queue_bytes < options_.max_write_queue_bytes;
-  bool want_write = !conn->write_queue.empty();
-  if (want_read == conn->reading && want_write == conn->want_write) return;
-  uint32_t events = (want_read ? EventLoop::kReadable : 0) |
-                    (want_write ? EventLoop::kWritable : 0);
-  loops_[conn->loop_index]->Modify(conn->fd, events);
-  conn->reading = want_read;
-  conn->want_write = want_write;
-}
-
-void NavRouter::ArmIdleTimer(const ConnPtr& conn) {
-  if (options_.idle_timeout_ms <= 0 || conn->closed) return;
-  int64_t idle = SteadyNowMs() - conn->last_activity_ms;
-  int64_t remaining = options_.idle_timeout_ms - idle;
-  if (remaining <= 0) {
-    if (conn->inflight == 0 && conn->write_queue.empty() &&
-        conn->completed.empty()) {
-      CloseConnection(conn);
-      return;
-    }
-    remaining = options_.idle_timeout_ms;
-  }
-  conn->idle_timer =
-      loops_[conn->loop_index]->AddTimer(remaining, [this, conn] {
-        conn->idle_timer = kInvalidTimer;
-        ArmIdleTimer(conn);
-      });
-}
-
-void NavRouter::CloseConnection(const ConnPtr& conn) {
-  if (conn->closed) return;
-  conn->closed = true;
-  EventLoop* loop = loops_[conn->loop_index].get();
-  if (conn->idle_timer != kInvalidTimer) {
-    loop->CancelTimer(conn->idle_timer);
-    conn->idle_timer = kInvalidTimer;
-  }
-  loop->Remove(conn->fd);
-  ::close(conn->fd);
-  loop_conns_[conn->loop_index].erase(conn->fd);
-  connections_open_.fetch_sub(1, std::memory_order_acq_rel);
-  OpenConnectionsGauge()->Add(-1);
-  drain_cv_.notify_all();
-}
-
-void NavRouter::DrainConnection(const ConnPtr& conn) {
-  if (conn->closed) return;
-  conn->draining = true;
-  conn->close_after_flush = true;
-  DispatchFrames(conn);
-  UpdateInterest(conn);
-  if (conn->inflight == 0 && conn->write_queue.empty() &&
-      conn->completed.empty()) {
-    CloseConnection(conn);
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
 
-void NavRouter::CountRequest() {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  RequestsCounter()->Increment();
-}
-
 void NavRouter::RouteFrame(const ConnPtr& conn, uint64_t seq,
                            const std::string& payload) {
-  CountRequest();
   Request owned;  // Backing storage for the JSON parse path.
   RequestView view;
   std::string error_message;
@@ -688,9 +187,8 @@ void NavRouter::RouteFrame(const ConnPtr& conn, uint64_t seq,
   if (parse_error != WireError::kNone) {
     // The router rejects unparsable frames itself — a typed error without
     // a backend round trip, and no garbage ever reaches a shard.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    ProtocolErrorsCounter()->Increment();
-    CompleteRequest(conn, seq,
+    frontend_.CountProtocolError();
+    frontend_.Complete(conn, seq,
                     WireResponse::Error(conn->proto, parse_error,
                                         error_message));
     return;
@@ -698,10 +196,10 @@ void NavRouter::RouteFrame(const ConnPtr& conn, uint64_t seq,
 
   switch (view.op) {
     case RequestOp::kStats:
-      CompleteRequest(conn, seq, BuildAggregatedStats(conn->proto));
+      frontend_.Complete(conn, seq, BuildAggregatedStats(conn->proto));
       return;
     case RequestOp::kMetrics:
-      CompleteRequest(conn, seq, BuildMetricsFrame(conn->proto));
+      frontend_.Complete(conn, seq, BuildMetricsFrame(conn->proto));
       return;
     case RequestOp::kQuery: {
       int chosen = ChooseQueryBackend(NormalizeQueryKey(view.query));
@@ -721,7 +219,7 @@ void NavRouter::RouteFrame(const ConnPtr& conn, uint64_t seq,
       return;
     }
     case RequestOp::kTopology:
-      CompleteRequest(conn, seq, BuildTopologyFrame(conn->proto));
+      frontend_.Complete(conn, seq, BuildTopologyFrame(conn->proto));
       return;
     case RequestOp::kFetchArtifact: {
       // Strict owner routing: the shard asking is, by construction, a
@@ -843,7 +341,7 @@ void NavRouter::AnswerRetryLater(const ConnPtr& conn, uint64_t seq,
     backends_[backend_index]->retry_later.fetch_add(
         1, std::memory_order_relaxed);
   }
-  CompleteRequest(conn, seq,
+  frontend_.Complete(conn, seq,
                   WireResponse::Error(conn->proto, WireError::kRetryLater,
                                       message));
 }
@@ -852,7 +350,7 @@ void NavRouter::ForwardToBackend(const ConnPtr& conn, uint64_t seq,
                                  size_t backend_index, const RequestView& view,
                                  const std::string& payload) {
   UpPtr up =
-      GetUpstream(conn->loop_index, backend_index, conn->proto, conn->conn_id);
+      GetUpstream(conn->loop_index, backend_index, conn->proto, conn->id);
   if (up == nullptr) {
     AnswerRetryLater(conn, seq, backend_index,
                      "shard '" + backends_[backend_index]->config.id +
@@ -955,7 +453,7 @@ NavRouter::UpPtr NavRouter::CreateUpstream(size_t loop_index,
   if (proto == WireProto::kBinary) {
     up->outbox.assign(kBinaryPreamble, sizeof(kBinaryPreamble));
   }
-  Status added = loops_[loop_index]->Add(
+  Status added = frontend_.loop(loop_index)->Add(
       fd, EventLoop::kReadable | EventLoop::kWritable,
       [this, up](uint32_t events) { OnUpstreamEvent(up, events); });
   if (!added.ok()) {
@@ -965,7 +463,7 @@ NavRouter::UpPtr NavRouter::CreateUpstream(size_t loop_index,
   up->reading = true;
   up->want_write = true;
   if (connecting && options_.connect_timeout_ms > 0) {
-    up->connect_timer = loops_[loop_index]->AddTimer(
+    up->connect_timer = frontend_.loop(loop_index)->AddTimer(
         options_.connect_timeout_ms, [this, up] {
           up->connect_timer = kInvalidTimer;
           if (!up->closed && up->connecting) {
@@ -1003,7 +501,7 @@ void NavRouter::OnUpstreamEvent(const UpPtr& up, uint32_t events) {
       }
       up->connecting = false;
       if (up->connect_timer != kInvalidTimer) {
-        loops_[up->loop_index]->CancelTimer(up->connect_timer);
+        frontend_.loop(up->loop_index)->CancelTimer(up->connect_timer);
         up->connect_timer = kInvalidTimer;
       }
     }
@@ -1046,7 +544,7 @@ void NavRouter::UpdateUpstreamInterest(const UpPtr& up) {
   if (want_read == up->reading && want_write == up->want_write) return;
   uint32_t events = (want_read ? EventLoop::kReadable : 0) |
                     (want_write ? EventLoop::kWritable : 0);
-  loops_[up->loop_index]->Modify(up->fd, events);
+  frontend_.loop(up->loop_index)->Modify(up->fd, events);
   up->reading = want_read;
   up->want_write = want_write;
 }
@@ -1164,14 +662,14 @@ void NavRouter::HandleUpstreamFrame(const UpPtr& up,
   if (pending.conn == nullptr || pending.conn->closed) return;
   WireFrame response;
   AppendWireFrame(&response.head, up->proto, frame);
-  CompleteRequest(pending.conn, pending.seq, std::move(response));
+  frontend_.Complete(pending.conn, pending.seq, std::move(response));
 }
 
 void NavRouter::FailUpstream(const UpPtr& up, WireError error,
                              std::string_view message, bool count_failure) {
   if (up->closed) return;
   up->closed = true;
-  EventLoop* loop = loops_[up->loop_index].get();
+  EventLoop* loop = frontend_.loop(up->loop_index);
   if (up->connect_timer != kInvalidTimer) {
     loop->CancelTimer(up->connect_timer);
     up->connect_timer = kInvalidTimer;
@@ -1194,7 +692,7 @@ void NavRouter::FailUpstream(const UpPtr& up, WireError error,
         1, std::memory_order_relaxed);
     UpstreamErrorsCounter()->Increment();
     if (p.conn == nullptr || p.conn->closed) continue;
-    CompleteRequest(p.conn, p.seq,
+    frontend_.Complete(p.conn, p.seq,
                     WireResponse::Error(p.conn->proto, error, message));
   }
 }
@@ -1220,15 +718,15 @@ void NavRouter::UnpinSession(std::string_view token) {
 // ---------------------------------------------------------------------------
 
 void NavRouter::ArmHealthTimer() {
-  if (shutting_down_.load(std::memory_order_acquire)) return;
-  loops_[0]->AddTimer(options_.health_interval_ms, [this] {
+  if (frontend_.shutting_down()) return;
+  frontend_.loop(0)->AddTimer(options_.health_interval_ms, [this] {
     RunProbes();
     ArmHealthTimer();
   });
 }
 
 void NavRouter::RunProbes() {
-  if (shutting_down_.load(std::memory_order_acquire)) return;
+  if (frontend_.shutting_down()) return;
   int64_t now = SteadyNowMs();
   for (size_t i = 0; i < backends_.size(); ++i) {
     if (probes_[i] != nullptr) continue;  // Previous probe still in flight.
@@ -1278,7 +776,7 @@ void NavRouter::StartProbe(size_t backend_index) {
   probe->fd = fd;
   probe->connecting = connecting;
   probe->outbox = "{\"v\":1,\"op\":\"STATS\"}\n";
-  Status added = loops_[0]->Add(
+  Status added = frontend_.loop(0)->Add(
       fd, EventLoop::kReadable | EventLoop::kWritable,
       [this, probe](uint32_t events) { OnProbeEvent(probe, events); });
   if (!added.ok()) {
@@ -1287,7 +785,7 @@ void NavRouter::StartProbe(size_t backend_index) {
   }
   if (options_.health_timeout_ms > 0) {
     probe->timeout_timer =
-        loops_[0]->AddTimer(options_.health_timeout_ms, [this, probe] {
+        frontend_.loop(0)->AddTimer(options_.health_timeout_ms, [this, probe] {
           probe->timeout_timer = kInvalidTimer;
           FinishProbe(probe, false, "");
         });
@@ -1324,7 +822,7 @@ void NavRouter::OnProbeEvent(const ProbePtr& probe, uint32_t events) {
       probe->out_off += static_cast<size_t>(n);
     }
     if (probe->out_off >= probe->outbox.size()) {
-      loops_[0]->Modify(probe->fd, EventLoop::kReadable);
+      frontend_.loop(0)->Modify(probe->fd, EventLoop::kReadable);
     }
   }
   if (events & EventLoop::kReadable) {
@@ -1362,10 +860,10 @@ void NavRouter::FinishProbe(const ProbePtr& probe, bool success,
   if (probe->done) return;
   probe->done = true;
   if (probe->timeout_timer != kInvalidTimer) {
-    loops_[0]->CancelTimer(probe->timeout_timer);
+    frontend_.loop(0)->CancelTimer(probe->timeout_timer);
     probe->timeout_timer = kInvalidTimer;
   }
-  loops_[0]->Remove(probe->fd);
+  frontend_.loop(0)->Remove(probe->fd);
   ::close(probe->fd);
   probes_[probe->backend_index] = nullptr;
 
@@ -1474,7 +972,7 @@ WireFrame NavRouter::BuildAggregatedStats(WireProto proto) const {
       ",\"bytes_rx\":" + std::to_string(s.bytes_rx) +
       ",\"bytes_tx\":" + std::to_string(s.bytes_tx) +
       ",\"generation\":" + std::to_string(s.generation) +
-      ",\"io_threads\":" + std::to_string(loops_.size()) + "}";
+      ",\"io_threads\":" + std::to_string(frontend_.num_loops()) + "}";
 
   // Fleet rollup from the last scraped backend STATS. Scrapes refresh on
   // the probe cadence, so the sums lag live truth by at most one interval.
@@ -1617,17 +1115,17 @@ WireFrame NavRouter::BuildTopologyFrame(WireProto proto) const {
 // ---------------------------------------------------------------------------
 
 NavRouterStats NavRouter::stats() const {
+  FrontendStats f = frontend_.stats();
   NavRouterStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_shed = connections_shed_.load(std::memory_order_relaxed);
-  s.connections_open = connections_open_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+  s.connections_accepted = f.connections_accepted;
+  s.connections_shed = f.connections_shed;
+  s.connections_open = f.connections_open;
+  s.requests = f.requests;
+  s.protocol_errors = f.protocol_errors;
   s.forwarded = forwarded_.load(std::memory_order_relaxed);
   s.retry_later = retry_later_.load(std::memory_order_relaxed);
-  s.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
-  s.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
+  s.bytes_rx = f.bytes_rx;
+  s.bytes_tx = f.bytes_tx;
   s.generation = generation_.load(std::memory_order_acquire);
   s.hot_keys_tracked = static_cast<int64_t>(hot_keys_.size());
 
@@ -1669,87 +1167,28 @@ bool NavRouter::SetBackendDraining(const std::string& id, bool draining) {
 }
 
 void NavRouter::Shutdown() {
-  std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
-  if (!started_.load() || shutting_down_.load()) return;
-  shutting_down_.store(true, std::memory_order_release);
-
-  // 1. Stop admitting: close the listener on its loop.
-  {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    loops_[0]->RunInLoop([&] {
-      loops_[0]->Remove(listen_fd_);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-      cv.notify_one();
-    });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-  }
-
-  // 2. Drain downstream connections: forwarded requests complete as their
-  //    backend responses arrive (the loops keep running), buffered frames
-  //    answer SHUTTING_DOWN, write queues flush before fds close.
-  for (size_t i = 0; i < loops_.size(); ++i) {
-    loops_[i]->RunInLoop([this, i] {
-      std::vector<ConnPtr> conns;
-      conns.reserve(loop_conns_[i].size());
-      for (const auto& [fd, conn] : loop_conns_[i]) conns.push_back(conn);
-      for (const ConnPtr& conn : conns) DrainConnection(conn);
-    });
-  }
-
-  // 3. Bounded drain, then force-close stragglers (including connections
-  //    whose pinned shard will never answer).
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_deadline_ms),
-        [this] { return connections_open_.load() == 0; });
-  }
-  if (connections_open_.load() > 0) {
-    for (size_t i = 0; i < loops_.size(); ++i) {
-      loops_[i]->RunInLoop([this, i] {
-        std::vector<ConnPtr> conns;
-        conns.reserve(loop_conns_[i].size());
-        for (const auto& [fd, conn] : loop_conns_[i]) conns.push_back(conn);
-        for (const ConnPtr& conn : conns) CloseConnection(conn);
-      });
-    }
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait_for(lock, std::chrono::milliseconds(1000),
-                       [this] { return connections_open_.load() == 0; });
-  }
-
-  // 4. Tear down upstreams and probes on their loops. Stop() drains
-  //    functions enqueued before it, so these run before the loops exit.
-  for (size_t i = 0; i < loops_.size(); ++i) {
-    loops_[i]->RunInLoop([this, i] {
-      std::vector<UpPtr> ups;
-      for (const UpPtr& up : loop_upstreams_[i]) {
-        if (up != nullptr && !up->closed) ups.push_back(up);
-      }
-      for (const UpPtr& up : ups) {
-        FailUpstream(up, WireError::kShuttingDown, "router is draining",
-                     false);
-      }
-      if (i == 0) {
-        for (const ProbePtr& probe : probes_) {
-          if (probe != nullptr && !probe->done) FinishProbe(probe, false, "");
+  // Forwarded requests complete as their backend responses arrive while
+  // the loops run; once the connections are drained (or force-closed,
+  // including those whose pinned shard never answers), upstreams and
+  // probes go down on their own loops.
+  frontend_.Shutdown(
+      /*settle=*/{}, /*teardown_loop=*/[this](size_t i) {
+        std::vector<UpPtr> ups;
+        for (const UpPtr& up : loop_upstreams_[i]) {
+          if (up != nullptr && !up->closed) ups.push_back(up);
         }
-      }
-    });
-  }
-
-  // 5. Stop and join the reactors.
-  for (std::unique_ptr<EventLoop>& loop : loops_) loop->Stop();
-  for (std::thread& t : io_threads_) {
-    if (t.joinable()) t.join();
-  }
-  io_threads_.clear();
+        for (const UpPtr& up : ups) {
+          FailUpstream(up, WireError::kShuttingDown, "router is draining",
+                       false);
+        }
+        if (i == 0) {
+          for (const ProbePtr& probe : probes_) {
+            if (probe != nullptr && !probe->done) {
+              FinishProbe(probe, false, "");
+            }
+          }
+        }
+      });
 }
 
 NavRouter::~NavRouter() { Shutdown(); }

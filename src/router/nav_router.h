@@ -2,19 +2,17 @@
 #define BIONAV_ROUTER_NAV_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "router/hash_ring.h"
 #include "router/hot_keys.h"
+#include "server/framed_frontend.h"
 #include "server/protocol.h"
 #include "util/event_loop.h"
 
@@ -41,21 +39,11 @@ enum class BackendHealth { kHealthy = 0, kUnhealthy = 1, kHalfOpen = 2 };
 /// Lowercase name ("healthy"/"unhealthy"/"halfopen") for stats documents.
 const char* BackendHealthName(BackendHealth health);
 
-struct NavRouterOptions {
-  std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 binds an ephemeral port, readable via port() after Start.
-  int port = 0;
-  /// Reactor threads. Each loop owns its accepted connections and its own
-  /// upstream pool, so cross-loop coordination never touches the data path.
-  int io_threads = 1;
-  /// Admission control at the accept path (downstream connections).
-  int max_connections = 4096;
-  /// Pipelining depth per downstream connection, as in NavServer.
-  int max_inflight_per_connection = 64;
-  /// Downstream write-queue backpressure threshold.
-  size_t max_write_queue_bytes = 4 << 20;
-  /// Downstream request frame cap (slow-loris defense).
-  size_t max_frame_bytes = LineFrameDecoder::kDefaultMaxFrameBytes;
+/// Listener and downstream-connection settings (bind address, port,
+/// io_threads, admission, pipelining, backpressure, frame cap, idle and
+/// drain timeouts) come from FrontendOptions. Each loop also owns its own
+/// upstream pool, so cross-loop coordination never touches the data path.
+struct NavRouterOptions : FrontendOptions {
   /// Per-backend bounded write queue: a forward that would push an
   /// upstream's unsent bytes past this sheds with RETRY_LATER instead of
   /// buffering without bound against a stalled shard.
@@ -90,10 +78,6 @@ struct NavRouterOptions {
   double replicate_above_qps = 10.0;
   /// Decay half-life of the per-key rate estimator (see HotKeyTracker).
   int64_t hot_key_halflife_ms = 10000;
-  /// Idle downstream connections are closed after this long. 0 disables.
-  int64_t idle_timeout_ms = 5 * 60 * 1000;
-  /// Shutdown drain bound, as in NavServer.
-  int64_t drain_deadline_ms = 2000;
 };
 
 struct RouterBackendStats {
@@ -130,9 +114,9 @@ struct NavRouterStats {
 };
 
 /// The sharded serving tier's front door: a standalone proxy that fronts N
-/// bionav_serve backends behind one endpoint, speaking both wire encodings
-/// (line-delimited JSON v1 and length-prefixed binary v2, negotiated per
-/// downstream connection exactly as NavServer does).
+/// bionav_serve backends behind one endpoint. Its downstream side is a
+/// FramedFrontend, so clients speak either wire encoding (line-delimited
+/// JSON v1 or length-prefixed binary v2, negotiated per connection).
 ///
 /// Placement: QUERY routes by NormalizeQueryKey(query) on a consistent-hash
 /// ring — every session of a given query lands on the same shard, so that
@@ -144,10 +128,10 @@ struct NavRouterStats {
 /// Forwarding: frames are relayed without re-encoding (the framing decoders
 /// give boundaries; only QUERY responses and errors are decoded, to learn
 /// pins). Each loop keeps a small pool of non-blocking upstream connections
-/// per (backend, encoding); responses complete FIFO per upstream and are
-/// released downstream in request arrival order through the same
-/// sequence-number reordering NavServer uses, so pipelined clients see
-/// in-order responses even when their requests fanned out across shards.
+/// per (backend, encoding); responses complete FIFO per upstream and the
+/// front-end releases them downstream in request arrival order, so
+/// pipelined clients see in-order responses even when their requests
+/// fanned out across shards.
 ///
 /// Failure model: a dead shard's slice answers typed RETRY_LATER (never a
 /// hang, never a transport error downstream); consecutive failures eject
@@ -170,7 +154,7 @@ class NavRouter {
   Status Start();
 
   /// Bound TCP port (valid after a successful Start).
-  int port() const { return port_; }
+  int port() const { return frontend_.port(); }
 
   /// Graceful shutdown; idempotent, also run by the destructor.
   void Shutdown();
@@ -188,38 +172,7 @@ class NavRouter {
   const HashRing& ring() const { return ring_; }
 
  private:
-  /// Downstream connection state — field-for-field the NavServer
-  /// Connection shape (loop-thread-only; see nav_server.h).
-  struct Conn {
-    explicit Conn(size_t max_frame_bytes)
-        : decoder(max_frame_bytes), bdecoder(max_frame_bytes) {}
-
-    uint64_t conn_id = 0;  // Upstream slot affinity.
-    int fd = -1;
-    size_t loop_index = 0;
-    WireProto proto = WireProto::kJson;
-    bool proto_decided = false;
-    bool preamble_error = false;
-    std::string preamble;
-    LineFrameDecoder decoder;
-    BinaryFrameDecoder bdecoder;
-    std::deque<WireFrame> write_queue;
-    size_t write_offset = 0;
-    size_t write_queue_bytes = 0;
-    uint64_t next_dispatch_seq = 0;
-    uint64_t next_release_seq = 0;
-    std::map<uint64_t, WireFrame> completed;
-    int inflight = 0;
-    bool reading = true;
-    bool want_write = false;
-    bool dispatching = false;
-    bool draining = false;
-    bool close_after_flush = false;
-    bool closed = false;
-    int64_t last_activity_ms = 0;
-    TimerId idle_timer = kInvalidTimer;
-  };
-  using ConnPtr = std::shared_ptr<Conn>;
+  using ConnPtr = FramedFrontend::ConnPtr;
 
   /// One forwarded request awaiting its backend response (FIFO per
   /// upstream — the backend answers in arrival order).
@@ -311,29 +264,12 @@ class NavRouter {
     BackendScrape scrape;
   };
 
-  // --- Downstream path (mirrors NavServer; see nav_server.cc) ---
-  void IoThreadMain(size_t loop_index);
-  void OnAcceptable();
-  void AdmitConnection(int fd);
-  void OnConnectionEvent(const ConnPtr& conn, uint32_t events);
-  void ReadConnection(const ConnPtr& conn);
-  bool FeedConnection(const ConnPtr& conn, std::string_view data);
-  bool HasBufferedFrame(const ConnPtr& conn) const;
-  bool NextBufferedFrame(const ConnPtr& conn, std::string* payload);
-  bool DecoderBroken(const ConnPtr& conn) const;
-  void DispatchFrames(const ConnPtr& conn);
-  void CompleteRequest(const ConnPtr& conn, uint64_t seq, WireFrame response);
-  void FlushWrites(const ConnPtr& conn);
-  void UpdateInterest(const ConnPtr& conn);
-  void ArmIdleTimer(const ConnPtr& conn);
-  void CloseConnection(const ConnPtr& conn);
-  void DrainConnection(const ConnPtr& conn);
-
   // --- Routing ---
-  /// Parses one downstream frame and routes it: STATS/METRICS answer
-  /// locally, QUERY places by normalized query key, token ops follow
-  /// their pin. Completion is immediate for local answers and typed
-  /// errors; forwarded requests complete when the backend responds.
+  /// The front-end's dispatch callback. Parses one downstream frame and
+  /// routes it: STATS/METRICS answer locally, QUERY places by normalized
+  /// query key, token ops follow their pin. Completion is immediate for
+  /// local answers and typed errors; forwarded requests complete when the
+  /// backend responds.
   void RouteFrame(const ConnPtr& conn, uint64_t seq,
                   const std::string& payload);
   /// Ring walk for a new QUERY: first non-draining backend in preference
@@ -359,7 +295,6 @@ class NavRouter {
   /// (backend_index may be SIZE_MAX when no backend was choosable).
   void AnswerRetryLater(const ConnPtr& conn, uint64_t seq,
                         size_t backend_index, std::string_view message);
-  void CountRequest();
 
   // --- Upstream pool ---
   size_t UpstreamSlot(size_t backend_index, WireProto proto,
@@ -417,38 +352,19 @@ class NavRouter {
   std::unordered_map<std::string, size_t> backend_index_by_id_;
   HashRing ring_;  // Immutable after construction.
 
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::vector<std::thread> io_threads_;
-  std::vector<std::unordered_map<int, ConnPtr>> loop_conns_;
+  FramedFrontend frontend_;
   /// Upstream pool per loop, indexed by UpstreamSlot (loop-thread-only).
   std::vector<std::vector<UpPtr>> loop_upstreams_;
   /// Active probe per backend (loop-0-only).
   std::vector<ProbePtr> probes_;
-  std::atomic<size_t> next_loop_{0};
-  std::atomic<uint64_t> next_conn_id_{0};
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> shutting_down_{false};
-  std::mutex shutdown_mu_;
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
 
   /// token → backend index. Learned from QUERY responses, dropped on
   /// CLOSE and UNKNOWN_SESSION. The only cross-loop mutable routing state.
   mutable std::mutex pins_mu_;
   std::unordered_map<std::string, size_t> pins_;
 
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_shed_{0};
-  std::atomic<int64_t> connections_open_{0};
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> protocol_errors_{0};
   std::atomic<int64_t> forwarded_{0};
   std::atomic<int64_t> retry_later_{0};
-  std::atomic<int64_t> bytes_rx_{0};
-  std::atomic<int64_t> bytes_tx_{0};
   /// Starts at 1 so a client's zero-initialized FleetTopology is always
   /// visibly stale.
   std::atomic<uint64_t> generation_{1};

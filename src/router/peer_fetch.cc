@@ -1,6 +1,5 @@
 #include "router/peer_fetch.h"
 
-#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -8,6 +7,7 @@
 #include "obs/metrics.h"
 #include "server/nav_client.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace bionav {
 
@@ -29,12 +29,6 @@ LatencyHistogram* PeerFetchLatency() {
   static LatencyHistogram* h = GlobalMetrics().GetHistogram(
       "bionav_peer_fetch_us", "FETCH_ARTIFACT round trip incl. deserialize");
   return h;
-}
-
-int64_t SteadyNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace

@@ -2,57 +2,22 @@
 #define BIONAV_SERVER_NAV_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
+#include "server/framed_frontend.h"
 #include "server/protocol.h"
 #include "server/session_manager.h"
-#include "util/event_loop.h"
 #include "util/thread_pool.h"
 
 namespace bionav {
 
-struct NavServerOptions {
-  /// Bind address (loopback by default — fronting proxies terminate the
-  /// public edge in the paper's architecture).
-  std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 binds an ephemeral port, readable via port() after Start.
-  int port = 0;
-  /// Compute workers (the PR-1 ThreadPool) executing decoded requests.
+/// Listener and connection settings (bind address, port, io_threads,
+/// admission, pipelining, backpressure, frame cap, idle and drain
+/// timeouts) come from FrontendOptions.
+struct NavServerOptions : FrontendOptions {
+  /// Compute workers (ThreadPool) executing decoded requests.
   int threads = 4;
-  /// Reactor threads owning the non-blocking sockets. 1–2 saturate the
-  /// line-protocol I/O for thousands of connections; compute stays on the
-  /// pool above. Clamped to >= 1.
-  int io_threads = 1;
-  /// Admission control at the accept path: a connection arriving while
-  /// this many are open is answered RETRY_LATER and closed. Connections
-  /// are cheap reactor state, so the default holds thousands.
-  int max_connections = 4096;
-  /// Pipelining depth: decoded-but-unanswered requests per connection.
-  /// Past it the reactor stops reading that connection until responses
-  /// drain (per-connection backpressure, never a global stall).
-  int max_inflight_per_connection = 64;
-  /// Write-queue backpressure: when a connection's queued response bytes
-  /// exceed this, reading it pauses until the queue drains below.
-  size_t max_write_queue_bytes = 4 << 20;
-  /// A request line may grow to this many bytes before termination; past
-  /// it the connection gets a typed BAD_REQUEST and is closed (slow-loris
-  /// defense; see LineFrameDecoder).
-  size_t max_frame_bytes = LineFrameDecoder::kDefaultMaxFrameBytes;
-  /// Idle connections are closed after this long without a readable byte
-  /// (enforced by the reactor's timer wheel). 0 disables.
-  int64_t idle_timeout_ms = 5 * 60 * 1000;
-  /// Shutdown drains pending write queues for at most this long before
-  /// force-closing what remains.
-  int64_t drain_deadline_ms = 2000;
   /// Warm restart: adopt this already-bound, already-listening fd instead
   /// of socket/bind/listen. The predecessor process dups its listener
   /// CLOEXEC-free (DetachListener), execs the new binary, and connections
@@ -79,40 +44,25 @@ struct NavServerStats {
 };
 
 /// The navigation service of the paper's Section VII deployment, serving
-/// the wire protocol of server/protocol.h over TCP — rebuilt as an
-/// event-driven reactor so "heavy traffic from millions of users" is a
-/// connection-count problem, not a thread-count problem. Each connection
-/// negotiates its encoding on its first bytes: the "BNV2" preamble selects
-/// length-prefixed binary v2; everything else stays line-delimited JSON v1,
-/// so one server concurrently serves a mixed fleet. Hot responses
-/// (cache-hit QUERY, first EXPAND/SHOWRESULTS of an intact component) are
-/// served from pre-rendered templates on the shared QueryArtifacts — one
-/// serialization per (request shape, encoding), then writev of {owned
-/// header, shared body} for every later session.
+/// the wire protocol of server/protocol.h over TCP. The connection layer is
+/// a FramedFrontend (accept, admission, JSON/binary negotiation, framing,
+/// in-order pipelined release, backpressure, idle reaping, drain); this
+/// class executes the frames it dispatches. Hot responses (cache-hit
+/// QUERY, first EXPAND/SHOWRESULTS of an intact component) are served from
+/// pre-rendered templates on the shared QueryArtifacts — one serialization
+/// per (request shape, encoding), then writev of {owned header, shared
+/// body} for every later session.
 ///
-/// Threading: `io_threads` reactor threads (EventLoop each) own the
-/// non-blocking sockets. They accept, assemble frames incrementally from
-/// partial reads, and hand decoded request lines to the compute ThreadPool;
-/// finished responses marshal back to the owning loop, which writes them
-/// out through a per-connection bounded queue. A connection is a small
-/// state object pinned to one loop — all its state is loop-thread-only, so
-/// the hot path takes no locks.
-///
-/// Pipelining: a client may send many requests without waiting; they
-/// execute concurrently on the pool but responses are written in request
-/// arrival order (sequence numbers reorder completions). Requests that
-/// cannot stall the loop (parse errors, cache-hit QUERYs) execute inline
-/// on the reactor when the connection has no backlog, skipping the pool
+/// Execution: decoded frames run on the compute ThreadPool and their
+/// responses marshal back to the connection's loop. Requests that cannot
+/// stall the loop (parse errors, cache-hit QUERYs) execute inline on the
+/// reactor when the connection has no backlog, skipping the pool
 /// round-trip's two scheduler handoffs on the warm interactive path.
 ///
-/// Backpressure: reading pauses per connection when its in-flight count or
-/// queued write bytes exceed their caps, and resumes as responses drain;
-/// admission is shed at the accept path past max_connections.
-///
-/// Shutdown is graceful: the listener closes, already-decoded requests
-/// complete, frames buffered but not yet dispatched are answered
-/// SHUTTING_DOWN, and write queues are flushed under drain_deadline_ms
-/// before fds close.
+/// Shutdown is graceful: the listener closes, already-dispatched requests
+/// complete on the pool, frames buffered but not yet dispatched are
+/// answered SHUTTING_DOWN, and write queues are flushed under
+/// drain_deadline_ms before fds close.
 class NavServer {
  public:
   /// The hierarchy/eutils substrate must outlive the server. The strategy
@@ -128,7 +78,7 @@ class NavServer {
   Status Start();
 
   /// Bound TCP port (valid after a successful Start).
-  int port() const { return port_; }
+  int port() const { return frontend_.port(); }
 
   /// Graceful shutdown; idempotent, also run by the destructor.
   void Shutdown();
@@ -147,87 +97,20 @@ class NavServer {
   SessionManager& session_manager() { return sessions_; }
 
  private:
-  /// Per-connection reactor state. Every field is touched only on the
-  /// owning loop's thread; pool completions re-enter via RunInLoop.
-  struct Connection {
-    explicit Connection(size_t max_frame_bytes)
-        : decoder(max_frame_bytes), bdecoder(max_frame_bytes) {}
+  using ConnPtr = FramedFrontend::ConnPtr;
 
-    int fd = -1;
-    size_t loop_index = 0;
-    /// Wire encoding, decided by the connection's very first bytes: the
-    /// "BNV2" preamble selects binary; anything else (a JSON line always
-    /// starts with '{') keeps v1 JSON. Until decided, bytes accumulate in
-    /// `preamble` (at most 4) and neither decoder is fed.
-    WireProto proto = WireProto::kJson;
-    bool proto_decided = false;
-    /// First bytes were 'B'-led but not the preamble: answer BAD_REQUEST
-    /// (in JSON — the peer's encoding is unknowable) and close.
-    bool preamble_error = false;
-    std::string preamble;
-    LineFrameDecoder decoder;     // JSON framing.
-    BinaryFrameDecoder bdecoder;  // Binary framing.
-    /// Responses released in order, front may be partially written.
-    std::deque<WireFrame> write_queue;
-    size_t write_offset = 0;
-    size_t write_queue_bytes = 0;
-    /// Pipelining bookkeeping: requests are numbered on decode; responses
-    /// park in `completed` until every earlier one has been released.
-    uint64_t next_dispatch_seq = 0;
-    uint64_t next_release_seq = 0;
-    std::map<uint64_t, WireFrame> completed;
-    int inflight = 0;
-    bool reading = true;      // kReadable currently in the interest set.
-    bool want_write = false;  // kWritable currently in the interest set.
-    bool dispatching = false;  // DispatchFrames re-entrancy guard.
-    bool draining = false;    // No new dispatches (EOF, error, shutdown).
-    bool close_after_flush = false;
-    bool closed = false;
-    int64_t last_activity_ms = 0;
-    TimerId idle_timer = kInvalidTimer;
-  };
-  using ConnPtr = std::shared_ptr<Connection>;
-
-  void IoThreadMain(size_t loop_index);
   /// Arms (and re-arms) the periodic idle-spill sweep on loop 0. The sweep
   /// body runs on the compute pool — disk writes never block the reactor.
   void ArmSpillSweep();
-  void OnAcceptable();
-  void AdmitConnection(int fd);
-  void OnConnectionEvent(const ConnPtr& conn, uint32_t events);
-  void ReadConnection(const ConnPtr& conn);
-  /// Routes received bytes through protocol negotiation into the
-  /// connection's decoder. False once the stream is unrecoverable
-  /// (preamble error or a broken decoder latch).
-  bool FeedConnection(const ConnPtr& conn, std::string_view data);
-  /// Negotiation-aware views over the connection's active decoder.
-  bool HasBufferedFrame(const ConnPtr& conn) const;
-  bool NextBufferedFrame(const ConnPtr& conn, std::string* payload);
-  bool DecoderBroken(const ConnPtr& conn) const;
-  /// Decodes buffered frames and dispatches them to the pool (or answers
-  /// SHUTTING_DOWN when draining). Honors the pipelining cap.
-  void DispatchFrames(const ConnPtr& conn);
-  void DispatchRequest(const ConnPtr& conn, uint64_t seq,
-                       std::string payload);
+  /// The front-end's dispatch callback: inline when `no_backlog` and the
+  /// request cannot stall the loop, on the compute pool otherwise.
+  void Dispatch(const ConnPtr& conn, uint64_t seq, std::string& payload,
+                bool no_backlog);
   /// True when a parsed request may execute inline on the reactor thread
   /// without risking a loop stall: a QUERY whose artifacts the cache
   /// already holds built. (Parse failures are always inline-safe — their
   /// reply is a constant error frame — and are handled before this check.)
   bool FastPathEligible(const RequestView& request) const;
-  /// Loop-thread: files a finished response under its sequence number and
-  /// releases every in-order response to the write queue.
-  void CompleteRequest(const ConnPtr& conn, uint64_t seq,
-                       WireFrame response);
-  /// Coalesces every ready response (owned heads and shared template
-  /// bodies alike) into one sendmsg before re-arming EPOLLOUT.
-  void FlushWrites(const ConnPtr& conn);
-  void UpdateInterest(const ConnPtr& conn);
-  /// (Re)arms the idle timer against last_activity_ms.
-  void ArmIdleTimer(const ConnPtr& conn);
-  void CloseConnection(const ConnPtr& conn);
-  /// Loop-thread: transitions a connection into drain (no more reads or
-  /// dispatches; buffered frames answered SHUTTING_DOWN; close on flush).
-  void DrainConnection(const ConnPtr& conn);
 
   /// Executes one request frame (parse + dispatch) in the connection's
   /// encoding, returns the finished response frame. Runs on a pool thread
@@ -238,7 +121,6 @@ class NavServer {
   WireFrame HandleRequest(const RequestView& request, WireProto proto);
   WireFrame HandleParseError(WireProto proto, WireError error,
                              const std::string& message);
-  void CountRequest();
 
   WireFrame HandleQuery(const RequestView& request, WireProto proto);
   WireFrame HandleExpand(const RequestView& request, WireProto proto);
@@ -259,37 +141,13 @@ class NavServer {
 
   NavServerOptions options_;
   SessionManager sessions_;
+  /// Declared before the pool: the pool joins its workers (whose
+  /// completions reach into the front-end's loops) before the loops die.
+  FramedFrontend frontend_;
   ThreadPool pool_;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::vector<std::thread> io_threads_;
-  /// Connections owned by each loop (loop-thread-only containers; indexed
-  /// by loop). Used by drain and the idle sweep.
-  std::vector<std::unordered_map<int, ConnPtr>> loop_conns_;
-  std::atomic<size_t> next_loop_{0};  // Round-robin connection placement.
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> shutting_down_{false};
   /// One idle-spill sweep at a time; a slow disk must not pile up sweeps.
   std::atomic<bool> spill_sweep_inflight_{false};
-  std::mutex shutdown_mu_;  // Serializes Shutdown (idempotence).
-
-  /// Signaled by loops as connections close; Shutdown waits on it for the
-  /// bounded drain.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_shed_{0};
-  std::atomic<int64_t> connections_open_{0};
-  std::atomic<int64_t> connections_idle_closed_{0};
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> protocol_errors_{0};
-  std::atomic<int64_t> oversized_frames_{0};
-  std::atomic<int64_t> bytes_rx_{0};
-  std::atomic<int64_t> bytes_tx_{0};
 };
 
 }  // namespace bionav

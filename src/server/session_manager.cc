@@ -7,16 +7,11 @@
 
 #include "obs/metrics.h"
 #include "persist/session_snapshot.h"
+#include "util/timer.h"
 
 namespace bionav {
 
 namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 int64_t WallUnixMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -247,13 +242,8 @@ Status SessionManager::WithSession(
         return Status::NotFound("session '" + std::string(token) +
                                 "' expired");
       }
-      it->second->last_used_ms = now;
       entry = it->second;
-      // Pin: spill and spill-backed eviction skip entries with an op in
-      // flight, so the session we are about to mutate cannot be
-      // snapshotted (stale) or unlinked-to-disk underneath us.
-      ++entry->inflight;
-      ++counters_.operations;
+      PinLocked(*entry);
     }
   }
   if (entry == nullptr) {
@@ -289,15 +279,49 @@ Status SessionManager::WithSession(
   return result;
 }
 
+void SessionManager::PinLocked(Entry& entry) {
+  // Pin: spill and spill-backed eviction skip entries with an op in
+  // flight, so the session about to be mutated cannot be snapshotted
+  // (stale) or unlinked-to-disk underneath it.
+  entry.last_used_ms = NowMs();
+  ++entry.inflight;
+  ++counters_.operations;
+}
+
 std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
     std::string_view token, Status* status) {
   *status = Status::NotFound("unknown session '" + std::string(token) + "'");
   if (spill_ == nullptr) return nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (spilled_tokens_.find(token) == spilled_tokens_.end()) return nullptr;
-  }
   const std::string token_str(token);
+
+  // Per-token singleflight: the first toucher of a parked token owns its
+  // restore; concurrent touchers wait for it, then look again and take the
+  // entry it inserted. Only the owner ever reads or deletes the record, so
+  // a toucher can never find the file already consumed and mistake a live
+  // session for a lost one.
+  std::promise<void> done;
+  while (true) {
+    std::shared_future<void> in_flight;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = sessions_.find(token);
+      if (it != sessions_.end()) {
+        PinLocked(*it->second);
+        *status = Status::OK();
+        return it->second;
+      }
+      auto pending = restoring_.find(token);
+      if (pending == restoring_.end()) {
+        if (spilled_tokens_.find(token) == spilled_tokens_.end()) {
+          return nullptr;
+        }
+        restoring_.emplace(token_str, done.get_future().share());
+        break;
+      }
+      in_flight = pending->second;
+    }
+    in_flight.wait();
+  }
   const auto t0 = std::chrono::steady_clock::now();
 
   // Read, decode, rebuild artifacts and replay — all outside mu_; a cold
@@ -337,65 +361,56 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
       }
     }
   }
-
-  if (restored == nullptr) {
-    // The parked record is unusable (corrupt, or the world changed under
-    // it). Drop it so the failure is not sticky, and surface a NotFound —
-    // the wire maps it to UNKNOWN_SESSION like any dead token.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = spilled_tokens_.find(token);
-      if (it != spilled_tokens_.end()) {
-        spilled_tokens_.erase(it);
-        SessionsSpilledNow()->Add(-1);
-      }
-      ++counters_.restore_failed;
-    }
-    SessionsRestoreFailed()->Increment();
-    spill_->Delete(token_str);
-    *status = Status::NotFound("session '" + token_str +
-                               "' unrecoverable: " + fail.ToString());
-    return nullptr;
-  }
+  // The record is consumed either way: restored into the heap, or unusable
+  // (corrupt, or the world changed under it) and dropped so the failure is
+  // not sticky. While this restore is in flight the token is neither
+  // resident nor re-parkable, so no newer record can be lost here.
+  spill_->Delete(token_str);
 
   const int64_t restore_us =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count();
   std::shared_ptr<Entry> entry;
-  bool won = false;
+  bool lost = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(token);
-    if (it != sessions_.end()) {
-      // A concurrent touch restored it first; ours was wasted work.
-      entry = it->second;
-    } else {
-      entry = std::make_shared<Entry>();
-      entry->token = token_str;
-      entry->session = std::move(restored);
-      entry->mem_bytes = entry->session->MemoryBytes();
-      sessions_.emplace(entry->token, entry);
-      resident_bytes_ += entry->mem_bytes;
-      SessionHeapBytes()->Add(static_cast<int64_t>(entry->mem_bytes));
-      SessionsLive()->Add(1);
-      auto parked = spilled_tokens_.find(token);
-      if (parked != spilled_tokens_.end()) {
-        spilled_tokens_.erase(parked);
-        SessionsSpilledNow()->Add(-1);
+    restoring_.erase(token_str);
+    // A CLOSE that raced the restore already unparked the token (and
+    // counted the close); the session stays closed.
+    auto parked = spilled_tokens_.find(token);
+    if (parked != spilled_tokens_.end()) {
+      spilled_tokens_.erase(parked);
+      SessionsSpilledNow()->Add(-1);
+      if (restored == nullptr) {
+        ++counters_.restore_failed;
+        lost = true;
+      } else {
+        entry = std::make_shared<Entry>();
+        entry->token = token_str;
+        entry->session = std::move(restored);
+        entry->mem_bytes = entry->session->MemoryBytes();
+        sessions_.emplace(entry->token, entry);
+        resident_bytes_ += entry->mem_bytes;
+        SessionHeapBytes()->Add(static_cast<int64_t>(entry->mem_bytes));
+        SessionsLive()->Add(1);
+        ++counters_.restored;
+        SessionsRestored()->Increment();
+        RestoreLatency()->Record(restore_us);
+        PinLocked(*entry);
+        EvictToCapacityLocked();
       }
-      ++counters_.restored;
-      SessionsRestored()->Increment();
-      RestoreLatency()->Record(restore_us);
-      won = true;
     }
-    entry->last_used_ms = NowMs();
-    ++entry->inflight;
-    ++counters_.operations;
-    if (won) EvictToCapacityLocked();
   }
-  if (won) spill_->Delete(token_str);
-  *status = Status::OK();
+  done.set_value();
+  if (lost) {
+    // Surfaces as NotFound — the wire maps it to UNKNOWN_SESSION like any
+    // dead token.
+    SessionsRestoreFailed()->Increment();
+    *status = Status::NotFound("session '" + token_str +
+                               "' unrecoverable: " + fail.ToString());
+  }
+  if (entry != nullptr) *status = Status::OK();
   return entry;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -225,9 +226,12 @@ class SessionManager {
   /// entry->inflight == 0 (the lock plus the zero pin count guarantee no
   /// thread is touching the session). Does not unlink from the map.
   bool SpillEntryLocked(const std::shared_ptr<Entry>& entry);
+  /// Marks `entry` used and in flight (one more operation). Requires mu_.
+  void PinLocked(Entry& entry);
   /// Restores `token` from the spill tier, registers it, and returns the
-  /// entry pinned (inflight incremented). On failure returns null and
-  /// reports through `status`.
+  /// entry pinned (inflight incremented). Concurrent callers for one token
+  /// share a single restore. On failure returns null and reports through
+  /// `status`.
   std::shared_ptr<Entry> RestoreFromSpill(std::string_view token,
                                           Status* status);
 
@@ -263,6 +267,12 @@ class SessionManager {
   /// WithSession miss never pays a disk probe for a genuinely unknown
   /// token). Guarded by mu_.
   std::unordered_set<std::string, TokenHash, std::equal_to<>> spilled_tokens_;
+  /// Parked tokens whose restore is in flight; the future becomes ready
+  /// when the owning toucher has inserted the session or given up on it.
+  /// Guarded by mu_.
+  std::unordered_map<std::string, std::shared_future<void>, TokenHash,
+                     std::equal_to<>>
+      restoring_;
   /// Running MemoryBytes() total of resident sessions. Guarded by mu_.
   size_t resident_bytes_ = 0;
   uint64_t next_token_ = 1;

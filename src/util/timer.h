@@ -6,6 +6,20 @@
 
 namespace bionav {
 
+/// Steady-clock readings as plain integers: deadlines, idle stamps and
+/// latency start points that are stored in state or cross threads.
+inline int64_t SteadyNowMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+inline int64_t SteadyNowUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Monotonic wall-clock stopwatch used by the benchmark harness to report
 /// per-EXPAND execution times (the paper's Figs 10 and 11).
 class Timer {

@@ -511,5 +511,100 @@ TEST(RouterE2E, AggregatedStatsAndMetricsAnswerLocally) {
   tier.server1->Shutdown();
 }
 
+/// A router whose one backend never listens, with health probes off: the
+/// downstream front-end behaviour below needs no shard (STATS is answered
+/// by the router itself).
+std::unique_ptr<NavRouter> StartBareRouter(NavRouterOptions options) {
+  options.health_interval_ms = 0;
+  auto router = std::make_unique<NavRouter>(
+      std::vector<RouterBackend>{
+          {"127.0.0.1", ReserveEphemeralPort(), "unstarted"}},
+      options);
+  EXPECT_TRUE(router->Start().ok());
+  EXPECT_GT(router->port(), 0);
+  return router;
+}
+
+std::unique_ptr<NavClient> ConnectBare(const NavRouter& router,
+                                       WireProto proto = WireProto::kJson) {
+  NavClientOptions options;
+  options.proto = proto;
+  auto connected = NavClient::Connect("127.0.0.1", router.port(), options);
+  EXPECT_TRUE(connected.ok()) << connected.status().ToString();
+  return connected.ok() ? connected.TakeValue() : nullptr;
+}
+
+TEST(RouterE2E, AdmissionControlShedsBeyondLimit) {
+  NavRouterOptions options;
+  options.max_connections = 1;
+  std::unique_ptr<NavRouter> router = StartBareRouter(options);
+
+  std::unique_ptr<NavClient> first = ConnectBare(*router);
+  ASSERT_NE(first, nullptr);
+  ASSERT_TRUE(first->Stats().ok());  // Admitted and live.
+
+  std::unique_ptr<NavClient> second = ConnectBare(*router);
+  ASSERT_NE(second, nullptr);
+  auto shed = second->Stats();
+  ASSERT_FALSE(shed.ok());
+  EXPECT_TRUE(IsTypedRetryLater(shed.status())) << shed.status().ToString();
+  EXPECT_NE(shed.status().message().find("router at capacity"),
+            std::string::npos)
+      << shed.status().ToString();
+  // Read once, right after the reply: the shed is counted before the
+  // RETRY_LATER line leaves the router.
+  EXPECT_EQ(router->stats().connections_shed, 1);
+  router->Shutdown();
+}
+
+TEST(RouterE2E, OversizedFrameGetsTypedErrorThenClose) {
+  NavRouterOptions options;
+  options.max_frame_bytes = 1024;
+  std::unique_ptr<NavRouter> router = StartBareRouter(options);
+  std::unique_ptr<NavClient> client = ConnectBare(*router, WireProto::kBinary);
+  ASSERT_NE(client, nullptr);
+
+  // A binary frame declaring ~4 KiB against a 1 KiB cap: one typed
+  // BAD_REQUEST, then the router closes instead of buffering.
+  auto reply = client->Query(std::string(4096, 'x'));
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument)
+      << reply.status().ToString();
+  EXPECT_NE(reply.status().message().find("exceeds"), std::string::npos)
+      << reply.status().ToString();
+  EXPECT_FALSE(client->Stats().ok())
+      << "connection left open after oversized frame";
+  NavRouterStats stats = router->stats();
+  EXPECT_EQ(stats.protocol_errors, 1);
+  EXPECT_EQ(stats.forwarded, 0);
+  router->Shutdown();
+}
+
+TEST(RouterE2E, IdleConnectionReapedByTimerWheel) {
+  NavRouterOptions options;
+  options.idle_timeout_ms = 200;
+  std::unique_ptr<NavRouter> router = StartBareRouter(options);
+  auto start = std::chrono::steady_clock::now();
+  std::unique_ptr<NavClient> idle = ConnectBare(*router);
+  ASSERT_NE(idle, nullptr);
+
+  // A connection that never sends a byte is admitted, then closed by the
+  // idle TTL.
+  auto await_open = [&](int64_t want) {
+    for (int i = 0; i < 5000; ++i) {
+      if (router->stats().connections_open == want) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  ASSERT_TRUE(await_open(1)) << "connection never admitted";
+  ASSERT_TRUE(await_open(0)) << "idle connection never reaped";
+  auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_GE(waited.count(), 100) << "reaped before the idle deadline";
+  EXPECT_FALSE(idle->Stats().ok()) << "reaped connection still answers";
+  router->Shutdown();
+}
+
 }  // namespace
 }  // namespace bionav

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -161,6 +162,58 @@ TEST_F(ServerSpillTest, ConcurrentTouchesOfParkedTokenNeverSeeNotFound) {
   EXPECT_EQ(not_found.load(), 0);
   // Exactly one thread paid the restore; the snapshot was consumed once.
   EXPECT_EQ(manager.stats().restored, 1);
+}
+
+TEST_F(ServerSpillTest, TouchesRacingAParkLoopNeverFail) {
+  // Touches race a park loop: the sweep keeps parking the session while
+  // several threads keep touching it, so a touch can find it parked,
+  // mid-restore by another toucher, or just restored. A live session must
+  // never answer NotFound, and no restore may be counted failed.
+  std::string dir = MakeSpillDir("race_loop");
+  // The clock steps while touchers read it, so it is atomic here. It runs
+  // far ahead of real time, so TTL expiry is off: a toucher descheduled
+  // mid-op must not see its session expire under it.
+  std::atomic<int64_t> clock_ms{0};
+  SessionManagerOptions options = SpillOptions(dir, 50);
+  options.clock = [&clock_ms] { return clock_ms.load(); };
+  options.ttl_ms = 0;
+  SessionManager manager(&fixture_.mesh, fixture_.eutils.get(),
+                         MakeBioNavStrategyFactory(), options);
+  auto token = manager.Create("prothymosin");
+  ASSERT_TRUE(token.ok());
+  ExpandRoot(manager, token.ValueOrDie());
+
+  constexpr int kThreads = 4;
+  constexpr int64_t kRestores = 100;
+  std::atomic<int> failures{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      while (!stop.load()) {
+        Status s = manager.WithSession(
+            token.ValueOrDie(),
+            [](NavigationSession&) { return Status::OK(); });
+        if (!s.ok()) ++failures;
+        // Leave the map lock free for the sweep between touches.
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (manager.stats().restored < kRestores &&
+         std::chrono::steady_clock::now() < deadline) {
+    clock_ms += 100;  // Every resident touch is now past spill_after_ms.
+    manager.SpillIdle();
+  }
+  stop.store(true);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  SessionManagerStats stats = manager.stats();
+  EXPECT_GE(stats.restored, kRestores);
+  EXPECT_EQ(stats.restore_failed, 0);
 }
 
 TEST_F(ServerSpillTest, InFlightOperationPinsSessionAgainstSpill) {
