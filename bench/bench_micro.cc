@@ -73,10 +73,9 @@ void BM_ApplyEdgeCutAndBacktrack(benchmark::State& state) {
   ActiveTree active(&nav);
   // Cut the first three children of the root.
   EdgeCut cut;
-  for (NavNodeId c : nav.node(NavigationTree::kRoot).children) {
-    cut.cut_children.push_back(c);
-    if (cut.size() == 3) break;
-  }
+  nav.ForEachChild(NavigationTree::kRoot, [&](NavNodeId c) {
+    if (cut.size() < 3) cut.cut_children.push_back(c);
+  });
   for (auto _ : state) {
     active.ApplyEdgeCut(NavigationTree::kRoot, cut).status().CheckOK();
     active.Backtrack();

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     const GeneratedQuery& q = *f.query;
     NavNodeId tnode = f.nav->NodeOfConcept(q.target);
     int attached =
-        tnode == kInvalidNavNode ? 0 : f.nav->node(tnode).attached_count;
+        tnode == kInvalidNavNode ? 0 : f.nav->attached_count(tnode);
     return std::vector<std::string>{
         q.spec.name,
         std::to_string(f.nav->result().size()),

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     top.status().CheckOK();
     std::cout << "\nTop results under '"
               << database.hierarchy().label(
-                     session.navigation_tree().node(id).concept_id)
+                     session.navigation_tree().concept_of(id))
               << "':\n";
     for (const CitationSummary& s : top.ValueOrDie()) {
       std::cout << "  PMID " << s.pmid << " (" << s.year << "): " << s.title

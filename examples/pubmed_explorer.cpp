@@ -45,7 +45,7 @@ void RunScripted(const Workload& workload, size_t query_index) {
     active.ApplyEdgeCut(root, cut).status().CheckOK();
     ++step;
     std::cout << "--- EXPAND #" << step << " on '"
-              << mesh.label(nav->node(root).concept_id) << "' revealed "
+              << mesh.label(nav->concept_of(root)) << "' revealed "
               << cut.size() << " concepts ("
               << TextTable::Num(strategy.last_stats().elapsed_ms, 2)
               << " ms, reduced tree "

@@ -85,7 +85,7 @@ int main() {
     int comp = session.active_tree().ComponentOf(node);
     if (session.active_tree().ComponentSize(comp) >= 2) {
       const std::string& label =
-          mesh.label(session.navigation_tree().node(node).concept_id);
+          mesh.label(session.navigation_tree().concept_of(node));
       auto deeper = session.Expand(node);
       deeper.status().CheckOK();
       std::cout << "After EXPAND of '" << label << "':\n"
@@ -100,7 +100,7 @@ int main() {
   auto summaries = session.ShowResults(show);
   summaries.status().CheckOK();
   std::cout << "SHOWRESULTS on '"
-            << mesh.label(session.navigation_tree().node(show).concept_id)
+            << mesh.label(session.navigation_tree().concept_of(show))
             << "':\n";
   for (const CitationSummary& s : summaries.ValueOrDie()) {
     std::cout << "  PMID " << s.pmid << ": " << s.title << " (" << s.year

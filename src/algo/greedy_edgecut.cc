@@ -42,7 +42,7 @@ class GreedyContext {
     NavNodeId end = nav_.SubtreeEnd(u);
     for (NavNodeId id = u; id < end; ++id) {
       if (active_.ComponentOf(id) != comp_) continue;
-      acc.UnionWith(nav_.node(id).results);
+      acc.UnionWith(nav_.results(id));
       s.weight += cost_model_.NodeExploreWeight(id);
     }
     s.distinct = static_cast<int>(acc.Count());
@@ -75,9 +75,9 @@ class GreedyContext {
   /// Children of `u` inside the component.
   std::vector<NavNodeId> ChildrenInComponent(NavNodeId u) const {
     std::vector<NavNodeId> out;
-    for (NavNodeId c : nav_.node(u).children) {
+    nav_.ForEachChild(u, [&](NavNodeId c) {
       if (active_.ComponentOf(c) == comp_) out.push_back(c);
-    }
+    });
     return out;
   }
 

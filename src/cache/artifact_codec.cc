@@ -57,6 +57,18 @@ bool ReadF64(std::string_view data, size_t* pos, double* out) {
   return true;
 }
 
+/// ReadVarint that also refuses non-canonical encodings (overlong runs of
+/// zero continuation groups, or high bits beyond 64 in a tenth byte), so a
+/// record that decodes re-serializes to exactly the same bytes.
+bool ReadCanonicalVarint(std::string_view data, size_t* pos, uint64_t* out) {
+  const size_t start = *pos;
+  if (!ReadVarint(data, pos, out)) return false;
+  size_t len = 1;
+  for (uint64_t v = *out; v >= 0x80; v >>= 7) ++len;
+  return *pos - start == len &&
+         (len < 10 || static_cast<uint8_t>(data[*pos - 1]) == 1);
+}
+
 Status Corrupt(const std::string& what) {
   return Status::DataLoss("artifact record " + what);
 }
@@ -139,7 +151,9 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
 
   size_t pos = 0;
   uint64_t version = 0;
-  if (!ReadVarint(payload, &pos, &version)) return Corrupt("payload underrun");
+  if (!ReadCanonicalVarint(payload, &pos, &version)) {
+    return Corrupt("payload underrun");
+  }
   if (version != kArtifactFormatVersion) {
     return Status::InvalidArgument("unsupported artifact format version " +
                                    std::to_string(version));
@@ -147,12 +161,16 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
 
   auto artifacts = std::make_shared<QueryArtifacts>();
   uint64_t key_len = 0;
-  if (!ReadVarint(payload, &pos, &key_len)) return Corrupt("payload underrun");
+  if (!ReadCanonicalVarint(payload, &pos, &key_len)) {
+    return Corrupt("payload underrun");
+  }
   if (key_len > payload.size() - pos) return Corrupt("key overrun");
   artifacts->key.assign(payload.substr(pos, static_cast<size_t>(key_len)));
   pos += static_cast<size_t>(key_len);
   uint64_t build = 0;
-  if (!ReadVarint(payload, &pos, &build)) return Corrupt("payload underrun");
+  if (!ReadCanonicalVarint(payload, &pos, &build)) {
+    return Corrupt("payload underrun");
+  }
   artifacts->build_us = ZigzagDecode(build);
 
   CostModelParams params;
@@ -160,12 +178,12 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   if (!ReadF64(payload, &pos, &params.expand_cost) ||
       !ReadF64(payload, &pos, &params.reveal_cost) ||
       !ReadF64(payload, &pos, &params.show_cost) ||
-      !ReadVarint(payload, &pos, &upper) ||
-      !ReadVarint(payload, &pos, &lower) ||
-      !ReadVarint(payload, &pos, &mode)) {
+      !ReadCanonicalVarint(payload, &pos, &upper) ||
+      !ReadCanonicalVarint(payload, &pos, &lower) ||
+      !ReadCanonicalVarint(payload, &pos, &mode)) {
     return Corrupt("payload underrun in cost params");
   }
-  if (upper > 1u << 30 || lower > 1u << 30 || mode > 2) {
+  if (upper > 1u << 30 || lower > upper || mode > 2) {
     return Corrupt("has implausible cost params");
   }
   params.expand_upper_threshold = static_cast<int>(upper);
@@ -173,7 +191,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   params.explore_weight_mode = static_cast<ExploreWeightMode>(mode);
 
   uint64_t citation_count = 0;
-  if (!ReadVarint(payload, &pos, &citation_count)) {
+  if (!ReadCanonicalVarint(payload, &pos, &citation_count)) {
     return Corrupt("payload underrun");
   }
   // Each citation id takes at least one payload byte.
@@ -184,7 +202,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   citations.reserve(static_cast<size_t>(citation_count));
   for (uint64_t i = 0; i < citation_count; ++i) {
     uint64_t raw = 0;
-    if (!ReadVarint(payload, &pos, &raw)) {
+    if (!ReadCanonicalVarint(payload, &pos, &raw)) {
       return Corrupt("payload underrun in citation list");
     }
     int64_t cid = ZigzagDecode(raw);
@@ -201,7 +219,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   }
 
   uint64_t node_count = 0;
-  if (!ReadVarint(payload, &pos, &node_count)) {
+  if (!ReadCanonicalVarint(payload, &pos, &node_count)) {
     return Corrupt("payload underrun");
   }
   // A node takes at least 4 payload bytes (concept, parent, global, count).
@@ -214,10 +232,10 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
     SerializedNavNode node;
     uint64_t concept_raw = 0, parent_plus1 = 0, global_raw = 0,
              index_count = 0;
-    if (!ReadVarint(payload, &pos, &concept_raw) ||
-        !ReadVarint(payload, &pos, &parent_plus1) ||
-        !ReadVarint(payload, &pos, &global_raw) ||
-        !ReadVarint(payload, &pos, &index_count)) {
+    if (!ReadCanonicalVarint(payload, &pos, &concept_raw) ||
+        !ReadCanonicalVarint(payload, &pos, &parent_plus1) ||
+        !ReadCanonicalVarint(payload, &pos, &global_raw) ||
+        !ReadCanonicalVarint(payload, &pos, &index_count)) {
       return Corrupt("payload underrun in node list");
     }
     if (concept_raw > INT32_MAX || parent_plus1 > node_count ||
@@ -234,7 +252,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
     uint64_t idx = 0;
     for (uint64_t k = 0; k < index_count; ++k) {
       uint64_t delta = 0;
-      if (!ReadVarint(payload, &pos, &delta)) {
+      if (!ReadCanonicalVarint(payload, &pos, &delta)) {
         return Corrupt("payload underrun in result indexes");
       }
       idx = k == 0 ? delta : idx + delta;

@@ -70,8 +70,8 @@ struct QueryArtifactCacheStats {
 ///    the rest block on a shared_future and receive the same bundle;
 ///  - artifacts are ref-counted (shared_ptr): eviction unlinks a bundle
 ///    from the map while live sessions keep using their reference;
-///  - cached bundles are immutable — builders must Freeze() the tree so
-///    concurrent readers never race on its lazy caches (TSan-verified).
+///  - cached bundles are immutable — every NavigationTree is complete at
+///    construction, so concurrent readers never race (TSan-verified).
 class QueryArtifactCache {
  public:
   using Builder = std::function<std::shared_ptr<const QueryArtifacts>()>;

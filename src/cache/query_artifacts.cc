@@ -73,7 +73,7 @@ std::string NormalizeQueryKey(std::string_view query) {
 
 std::shared_ptr<const QueryArtifacts> BuildQueryArtifacts(
     const ConceptHierarchy& hierarchy, const EUtilsClient& eutils,
-    const std::string& query, CostModelParams params, bool freeze) {
+    const std::string& query, CostModelParams params, bool) {
   // Fleet-wide count of from-scratch builds: the cross-shard singleflight
   // A/B gate asserts this equals the distinct-key count when peer fetch is
   // on (a FETCH_ARTIFACT arrival deliberately does not pass through here).
@@ -88,7 +88,6 @@ std::shared_ptr<const QueryArtifacts> BuildQueryArtifacts(
       std::make_shared<const ResultSet>(eutils.ESearch(query));
   auto nav = std::make_shared<NavigationTree>(hierarchy, eutils.associations(),
                                               artifacts->result);
-  if (freeze) nav->Freeze();
   artifacts->cost_model = std::make_shared<const CostModel>(nav.get(), params);
   artifacts->nav = std::move(nav);
   artifacts->build_us = static_cast<int64_t>(timer.ElapsedMicros());

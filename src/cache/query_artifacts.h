@@ -19,7 +19,7 @@
 namespace bionav {
 
 /// Pre-serialized response payloads keyed by (request shape, encoding) —
-/// the zero-copy unit of wire protocol v2. A frozen navigation tree
+/// the zero-copy unit of wire protocol v2. An immutable navigation tree
 /// answers the same QUERY/EXPAND/SHOWRESULTS requests with byte-identical
 /// payloads for every session sharing it, so the serialization is rendered
 /// once per encoding, held refcounted, and served via writev without
@@ -66,8 +66,8 @@ class ResponseTemplateStore {
 /// model. Everything mutable about a navigation dialogue (ActiveTree,
 /// strategy memos, trace ring) lives in the NavigationSession; this bundle
 /// is what QueryArtifactCache shares across sessions, so once published it
-/// must never change — trees destined for sharing are Freeze()d so even
-/// their lazy subtree caches are fully materialized before first use.
+/// must never change — and a NavigationTree is immutable from construction,
+/// subtree citation sets included.
 struct QueryArtifacts {
   /// Normalized cache key the bundle was built for (NormalizeQueryKey).
   std::string key;
@@ -77,12 +77,12 @@ struct QueryArtifacts {
   /// Wall time the build took — re-recorded as "build time saved" every
   /// time a later session is served from the cache instead of rebuilding.
   int64_t build_us = 0;
-  /// Pre-serialized wire responses for this bundle's frozen tree, filled
+  /// Pre-serialized wire responses for this bundle's tree, filled
   /// lazily by the server on first touch per (request shape, encoding).
   ResponseTemplateStore templates;
 
-  /// Heap bytes held by the bundle (result set, tree incl. precomputed
-  /// subtree caches, cost model, rendered response templates) — the unit
+  /// Heap bytes held by the bundle (result set, tree incl. its subtree
+  /// citation sets, cost model, rendered response templates) — the unit
   /// of the cache's byte budget. Grows as templates render; the cache
   /// re-reads it on hits to keep its budget honest.
   size_t MemoryFootprint() const;
@@ -98,7 +98,7 @@ struct QueryArtifacts {
 
   /// Parses a record produced by Serialize on another shard: rebuilds the
   /// ResultSet (first-occurrence order round-trips exactly), reconstructs
-  /// and Freeze()s the NavigationTree against the local hierarchy, and
+  /// the NavigationTree against the local hierarchy, and
   /// re-derives the CostModel from the carried parameters (its weights are
   /// a deterministic function of tree + params). Returns kDataLoss for
   /// anything untrustworthy — short header, bad magic, CRC mismatch,
@@ -128,13 +128,12 @@ inline constexpr size_t kArtifactHeaderBytes = 12;
 std::string NormalizeQueryKey(std::string_view query);
 
 /// Runs the full per-query pipeline (ESearch -> navigation tree -> cost
-/// model) and bundles the artifacts. `freeze` precomputes the tree's
-/// subtree-results/distinct caches so the bundle is safe to share across
-/// threads (always pass true when the result goes into a cache); building
-/// a private per-session bundle can skip it and keep the lazy fill.
+/// model) and bundles the artifacts. The bundle is immutable, so it is
+/// safe to share across threads. The trailing bool is ignored; it is kept
+/// so navbench/main.cc, which still passes one, compiles.
 std::shared_ptr<const QueryArtifacts> BuildQueryArtifacts(
     const ConceptHierarchy& hierarchy, const EUtilsClient& eutils,
-    const std::string& query, CostModelParams params, bool freeze);
+    const std::string& query, CostModelParams params, bool = true);
 
 }  // namespace bionav
 

@@ -12,7 +12,7 @@ ActiveTree::ActiveTree(const NavigationTree* nav) : nav_(nav) {
   comp_of_.assign(nav->size(), 0);
   Component all;
   all.root = NavigationTree::kRoot;
-  all.results = nav->SubtreeResultsCached(NavigationTree::kRoot);
+  all.results = nav->SubtreeResults(NavigationTree::kRoot);
   all.distinct = nav->SubtreeDistinct(NavigationTree::kRoot);
   all.num_members = static_cast<int>(nav->size());
   components_.push_back(std::move(all));
@@ -89,7 +89,7 @@ Result<std::vector<NavNodeId>> ActiveTree::ApplyEdgeCut(NavNodeId root,
 
   // Intact components (the common case: EXPAND descending a fresh subtree)
   // contain every cut child's full navigation subtree, so each lower
-  // component's citation set comes straight from the tree's subtree cache.
+  // component's citation set comes straight from the tree's subtree sets.
   const bool intact = ComponentIsIntact(comp);
 
   std::vector<NavNodeId> lower_roots;
@@ -100,7 +100,7 @@ Result<std::vector<NavNodeId>> ActiveTree::ApplyEdgeCut(NavNodeId root,
     lower.root = u;
     NavNodeId end = nav_->SubtreeEnd(u);
     if (intact) {
-      lower.results = nav_->SubtreeResultsCached(u);
+      lower.results = nav_->SubtreeResults(u);
       lower.distinct = nav_->SubtreeDistinct(u);
       lower.num_members = end - u;
       for (NavNodeId id = u; id < end; ++id) {

@@ -12,12 +12,14 @@ CostModel::CostModel(const NavigationTree* nav, CostModelParams params)
                   params_.expand_lower_threshold);
   weights_.resize(nav->size());
   for (size_t i = 0; i < nav->size(); ++i) {
-    const NavNode& n = nav->node(static_cast<NavNodeId>(i));
-    double attached = static_cast<double>(n.attached_count);
+    NavNodeId id = static_cast<NavNodeId>(i);
+    int attached_count = nav->attached_count(id);
+    int64_t global_count = nav->global_count(id);
+    double attached = static_cast<double>(attached_count);
     // |LT(n)| >= |L(n)| always holds for real association data; synthetic
     // or hand-built fixtures may omit global counts, so guard the ratio.
     double global = static_cast<double>(
-        n.global_count > 0 ? n.global_count : n.attached_count);
+        global_count > 0 ? global_count : attached_count);
     switch (params_.explore_weight_mode) {
       case ExploreWeightMode::kSquaredOverGlobal:
         weights_[i] = global > 0 ? attached * attached / global : 0.0;

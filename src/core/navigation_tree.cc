@@ -33,8 +33,9 @@ NavigationTree::NavigationTree(const ConceptHierarchy& hierarchy,
   }
   // The hierarchy root is kept regardless (Definition 2 excludes it from
   // the non-empty requirement to avoid creating a forest) but citations
-  // associated directly with the root, if any, are honored.
-  concept_to_node_.assign(hierarchy.size(), kInvalidNavNode);
+  // associated directly with the root, if any, are honored. Every touched
+  // concept becomes a node, so this bounds the node count.
+  Reserve(attached.size() + 1);
 
   // Maximum embedding via a single pre-order sweep over the hierarchy:
   // every kept node's parent is its nearest kept ancestor. This is exactly
@@ -46,23 +47,12 @@ NavigationTree::NavigationTree(const ConceptHierarchy& hierarchy,
   std::vector<StackEntry> stack;
 
   auto add_node = [&](ConceptId c, NavNodeId parent) {
-    NavNodeId id = static_cast<NavNodeId>(nodes_.size());
-    NavNode node;
-    node.concept_id = c;
-    node.parent = parent;
+    NavNodeId id = static_cast<NavNodeId>(size());
     auto it = attached.find(c);
-    if (it != attached.end()) {
-      node.results = std::move(it->second);
-    } else {
-      node.results = result_->MakeBitset();
-    }
-    node.attached_count = static_cast<int>(node.results.Count());
-    node.global_count = associations.GlobalCount(c);
-    nodes_.push_back(std::move(node));
-    if (parent != kInvalidNavNode) {
-      nodes_[static_cast<size_t>(parent)].children.push_back(id);
-    }
-    concept_to_node_[static_cast<size_t>(c)] = id;
+    AppendNode(c, parent,
+               it != attached.end() ? std::move(it->second)
+                                    : result_->MakeBitset(),
+               associations.GlobalCount(c));
     return id;
   };
 
@@ -82,39 +72,66 @@ NavigationTree::NavigationTree(const ConceptHierarchy& hierarchy,
     NavNodeId id = add_node(c, stack.back().node);
     stack.push_back({c, id});
   });
+  Finish();
+}
 
-  // Pre-order subtree intervals: nodes are created in pre-order, so each
-  // node's interval end is the max over its descendants, computed by one
-  // reverse sweep.
-  subtree_end_.resize(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
+void NavigationTree::Reserve(size_t n) {
+  concept_.reserve(n);
+  parent_.reserve(n);
+  attached_.reserve(n);
+  global_.reserve(n);
+  results_.reserve(n);
+}
+
+void NavigationTree::AppendNode(ConceptId concept_id, NavNodeId parent,
+                                DynamicBitset results, int64_t global_count) {
+  concept_.push_back(concept_id);
+  parent_.push_back(parent);
+  attached_.push_back(static_cast<int>(results.Count()));
+  global_.push_back(global_count);
+  results_.push_back(std::move(results));
+}
+
+void NavigationTree::Finish() {
+  const size_t n = size();
+  concept_to_node_.assign(hierarchy_->size(), kInvalidNavNode);
+  for (size_t i = 0; i < n; ++i) {
+    concept_to_node_[static_cast<size_t>(concept_[i])] =
+        static_cast<NavNodeId>(i);
+  }
+  // Nodes are in pre-order, so each node's descendants follow it: one
+  // reverse sweep folds every node into its parent's interval end and
+  // subtree citation set after its own subtree is complete.
+  subtree_end_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     subtree_end_[i] = static_cast<NavNodeId>(i + 1);
   }
-  for (size_t i = nodes_.size(); i-- > 1;) {
-    size_t p = static_cast<size_t>(nodes_[i].parent);
+  subtree_results_ = results_;
+  for (size_t i = n; i-- > 1;) {
+    size_t p = static_cast<size_t>(parent_[i]);
     subtree_end_[p] = std::max(subtree_end_[p], subtree_end_[i]);
+    subtree_results_[p].UnionWith(subtree_results_[i]);
   }
-
-  attached_prefix_.resize(nodes_.size() + 1);
+  subtree_distinct_.resize(n);
+  attached_prefix_.resize(n + 1);
   attached_prefix_[0] = 0;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    attached_prefix_[i + 1] = attached_prefix_[i] + nodes_[i].attached_count;
+  for (size_t i = 0; i < n; ++i) {
+    subtree_distinct_[i] = static_cast<int>(subtree_results_[i].Count());
+    attached_prefix_[i + 1] = attached_prefix_[i] + attached_[i];
   }
-  subtree_results_.resize(nodes_.size());
-  subtree_distinct_.assign(nodes_.size(), -1);
 }
 
 std::vector<SerializedNavNode> NavigationTree::ToSerializedNodes() const {
   std::vector<SerializedNavNode> out;
-  out.reserve(nodes_.size());
-  for (const NavNode& n : nodes_) {
+  out.reserve(size());
+  for (size_t i = 0; i < size(); ++i) {
     SerializedNavNode rec;
-    rec.concept_id = n.concept_id;
-    rec.parent = n.parent;
-    rec.global_count = n.global_count;
-    std::vector<size_t> idx = n.results.ToIndexes();
+    rec.concept_id = concept_[i];
+    rec.parent = parent_[i];
+    rec.global_count = global_[i];
+    std::vector<size_t> idx = results_[i].ToIndexes();
     rec.result_indexes.reserve(idx.size());
-    for (size_t i : idx) rec.result_indexes.push_back(static_cast<uint32_t>(i));
+    for (size_t k : idx) rec.result_indexes.push_back(static_cast<uint32_t>(k));
     out.push_back(std::move(rec));
   }
   return out;
@@ -189,47 +206,14 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
 
   std::shared_ptr<NavigationTree> tree(
       new NavigationTree(&hierarchy, std::move(result)));
-  tree->nodes_.reserve(serialized.size());
-  tree->concept_to_node_.assign(hierarchy.size(), kInvalidNavNode);
-  for (size_t i = 0; i < serialized.size(); ++i) {
-    const SerializedNavNode& rec = serialized[i];
-    NavNode node;
-    node.concept_id = rec.concept_id;
-    node.parent = rec.parent;
-    node.results = tree->result_->MakeBitset();
-    for (uint32_t idx : rec.result_indexes) node.results.Set(idx);
-    node.attached_count = static_cast<int>(rec.result_indexes.size());
-    node.global_count = rec.global_count;
-    tree->nodes_.push_back(std::move(node));
-    if (rec.parent != kInvalidNavNode) {
-      tree->nodes_[static_cast<size_t>(rec.parent)].children.push_back(
-          static_cast<NavNodeId>(i));
-    }
-    tree->concept_to_node_[static_cast<size_t>(rec.concept_id)] =
-        static_cast<NavNodeId>(i);
+  tree->Reserve(serialized.size());
+  for (const SerializedNavNode& rec : serialized) {
+    DynamicBitset results = tree->result_->MakeBitset();
+    for (uint32_t idx : rec.result_indexes) results.Set(idx);
+    tree->AppendNode(rec.concept_id, rec.parent, std::move(results),
+                     rec.global_count);
   }
-  // Derived tables, exactly as the associating constructor computes them.
-  tree->subtree_end_.resize(tree->nodes_.size());
-  for (size_t i = 0; i < tree->nodes_.size(); ++i) {
-    tree->subtree_end_[i] = static_cast<NavNodeId>(i + 1);
-  }
-  for (size_t i = tree->nodes_.size(); i-- > 1;) {
-    size_t p = static_cast<size_t>(tree->nodes_[i].parent);
-    tree->subtree_end_[p] = std::max(tree->subtree_end_[p],
-                                     tree->subtree_end_[i]);
-  }
-  tree->attached_prefix_.resize(tree->nodes_.size() + 1);
-  tree->attached_prefix_[0] = 0;
-  for (size_t i = 0; i < tree->nodes_.size(); ++i) {
-    tree->attached_prefix_[i + 1] =
-        tree->attached_prefix_[i] + tree->nodes_[i].attached_count;
-  }
-  tree->subtree_results_.resize(tree->nodes_.size());
-  tree->subtree_distinct_.assign(tree->nodes_.size(), -1);
-  // Shared across sessions by definition (it crossed a shard boundary), so
-  // always freeze — this also runs the SoA==lazy cross-validation over the
-  // freshly rebuilt layout.
-  tree->Freeze();
+  tree->Finish();
   return tree;
 }
 
@@ -247,119 +231,18 @@ NavNodeId NavigationTree::NodeOfConcept(ConceptId concept_id) const {
   return concept_to_node_[static_cast<size_t>(concept_id)];
 }
 
-DynamicBitset NavigationTree::SubtreeResults(NavNodeId id) const {
-  return SubtreeResultsCached(id);  // Copy.
-}
-
-const DynamicBitset& NavigationTree::SubtreeResultsCached(
-    NavNodeId id) const {
-  BIONAV_CHECK_GE(id, 0);
-  BIONAV_CHECK_LT(static_cast<size_t>(id), nodes_.size());
-  if (subtree_distinct_[static_cast<size_t>(id)] >= 0) {
-    return subtree_results_[static_cast<size_t>(id)];
-  }
-  // Freeze() materialized every node, so a fill on a frozen tree means a
-  // stale index or corrupted cache — and would race concurrent readers.
-  BIONAV_CHECK(!frozen_) << "lazy subtree-cache fill on a frozen tree";
-  // Fill the whole subtree in one reverse-pre-order sweep (children precede
-  // parents); nodes already cached by earlier calls are reused as-is.
-  NavNodeId end = SubtreeEnd(id);
-  for (NavNodeId u = end; u-- > id;) {
-    size_t i = static_cast<size_t>(u);
-    if (subtree_distinct_[i] >= 0) continue;
-    DynamicBitset acc = nodes_[i].results;
-    for (NavNodeId c : nodes_[i].children) {
-      acc.UnionWith(subtree_results_[static_cast<size_t>(c)]);
-    }
-    subtree_distinct_[i] = static_cast<int>(acc.Count());
-    subtree_results_[i] = std::move(acc);
-  }
-  return subtree_results_[static_cast<size_t>(id)];
-}
-
-void NavigationTree::BuildFlatLayout() {
-  size_t n = nodes_.size();
-  soa_concept_.resize(n);
-  soa_parent_.resize(n);
-  soa_first_child_.resize(n);
-  soa_next_sibling_.resize(n);
-  soa_attached_.resize(n);
-  soa_global_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const NavNode& node = nodes_[i];
-    NavNodeId id = static_cast<NavNodeId>(i);
-    soa_concept_[i] = node.concept_id;
-    soa_parent_[i] = node.parent;
-    soa_attached_[i] = node.attached_count;
-    soa_global_[i] = node.global_count;
-    // Child links come from pre-order arithmetic, not the child vectors:
-    // the first child of a non-leaf is the next id, and a node's next
-    // sibling starts where its subtree ends (if still inside the parent's
-    // interval). Deriving them independently makes the equivalence check
-    // below a real cross-validation of the two layouts.
-    soa_first_child_[i] =
-        subtree_end_[i] > id + 1 ? id + 1 : kInvalidNavNode;
-    if (node.parent == kInvalidNavNode) {
-      soa_next_sibling_[i] = kInvalidNavNode;
-    } else {
-      NavNodeId end = subtree_end_[i];
-      soa_next_sibling_[i] =
-          end < subtree_end_[static_cast<size_t>(node.parent)]
-              ? end
-              : kInvalidNavNode;
-    }
-  }
-  // SoA == lazy equivalence: walking every sibling chain must reproduce
-  // each pointer node's child vector exactly (same ids, same order).
-  for (size_t i = 0; i < n; ++i) {
-    const std::vector<NavNodeId>& children = nodes_[i].children;
-    size_t k = 0;
-    for (NavNodeId c = soa_first_child_[i]; c != kInvalidNavNode;
-         c = soa_next_sibling_[static_cast<size_t>(c)]) {
-      BIONAV_CHECK_LT(k, children.size())
-          << "SoA sibling chain longer than child vector";
-      BIONAV_CHECK_EQ(c, children[k]) << "SoA child order diverges";
-      ++k;
-    }
-    BIONAV_CHECK_EQ(k, children.size())
-        << "SoA sibling chain shorter than child vector";
-  }
-}
-
-void NavigationTree::Freeze() {
-  if (frozen_) return;
-  // The root fill materializes the cache for every node in one sweep;
-  // after this, every const method is a pure read.
-  SubtreeResultsCached(kRoot);
-  BuildFlatLayout();
-  frozen_ = true;
-}
-
 size_t NavigationTree::MemoryFootprint() const {
   size_t bytes = sizeof(NavigationTree);
-  for (const NavNode& n : nodes_) {
-    bytes += sizeof(NavNode) + n.children.capacity() * sizeof(NavNodeId) +
-             n.results.MemoryBytes();
-  }
-  bytes += (nodes_.capacity() - nodes_.size()) * sizeof(NavNode);
-  bytes += concept_to_node_.capacity() * sizeof(NavNodeId);
-  bytes += subtree_end_.capacity() * sizeof(NavNodeId);
-  bytes += attached_prefix_.capacity() * sizeof(int64_t);
-  bytes += subtree_distinct_.capacity() * sizeof(int);
-  bytes += subtree_results_.capacity() * sizeof(DynamicBitset);
+  bytes += (concept_.capacity() + concept_to_node_.capacity()) *
+           sizeof(ConceptId);
+  bytes += (parent_.capacity() + subtree_end_.capacity()) * sizeof(NavNodeId);
+  bytes += (attached_.capacity() + subtree_distinct_.capacity()) * sizeof(int);
+  bytes += (global_.capacity() + attached_prefix_.capacity()) * sizeof(int64_t);
+  bytes += (results_.capacity() + subtree_results_.capacity()) *
+           sizeof(DynamicBitset);
+  for (const DynamicBitset& b : results_) bytes += b.MemoryBytes();
   for (const DynamicBitset& b : subtree_results_) bytes += b.MemoryBytes();
-  bytes += soa_concept_.capacity() * sizeof(ConceptId);
-  bytes += (soa_parent_.capacity() + soa_first_child_.capacity() +
-            soa_next_sibling_.capacity()) *
-           sizeof(NavNodeId);
-  bytes += soa_attached_.capacity() * sizeof(int);
-  bytes += soa_global_.capacity() * sizeof(int64_t);
   return bytes;
-}
-
-int NavigationTree::SubtreeDistinct(NavNodeId id) const {
-  SubtreeResultsCached(id);
-  return subtree_distinct_[static_cast<size_t>(id)];
 }
 
 int64_t NavigationTree::TotalAttachedWithDuplicates() const {
@@ -367,13 +250,13 @@ int64_t NavigationTree::TotalAttachedWithDuplicates() const {
 }
 
 int NavigationTree::MaxWidth() const {
-  std::vector<int> depth(nodes_.size(), 0);
+  std::vector<int> depth(size(), 0);
   std::vector<int> width;
-  for (size_t i = 1; i < nodes_.size(); ++i) {
-    // Nodes are created in pre-order, so parents precede children.
-    depth[i] = depth[static_cast<size_t>(nodes_[i].parent)] + 1;
+  for (size_t i = 1; i < size(); ++i) {
+    // Nodes are in pre-order, so parents precede children.
+    depth[i] = depth[static_cast<size_t>(parent_[i])] + 1;
   }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
+  for (size_t i = 0; i < size(); ++i) {
     if (static_cast<size_t>(depth[i]) >= width.size()) {
       width.resize(static_cast<size_t>(depth[i]) + 1, 0);
     }
@@ -383,20 +266,13 @@ int NavigationTree::MaxWidth() const {
 }
 
 int NavigationTree::Height() const {
-  std::vector<int> depth(nodes_.size(), 0);
+  std::vector<int> depth(size(), 0);
   int h = 0;
-  for (size_t i = 1; i < nodes_.size(); ++i) {
-    depth[i] = depth[static_cast<size_t>(nodes_[i].parent)] + 1;
+  for (size_t i = 1; i < size(); ++i) {
+    depth[i] = depth[static_cast<size_t>(parent_[i])] + 1;
     h = std::max(h, depth[i]);
   }
   return h;
-}
-
-std::vector<NavNodeId> NavigationTree::PreOrderIds() const {
-  // Nodes are stored in pre-order by construction.
-  std::vector<NavNodeId> ids(nodes_.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<NavNodeId>(i);
-  return ids;
 }
 
 }  // namespace bionav

@@ -18,26 +18,9 @@ namespace bionav {
 using NavNodeId = int32_t;
 inline constexpr NavNodeId kInvalidNavNode = -1;
 
-/// One node of the navigation tree: a concept with a non-empty results list
-/// (except possibly the root, kept to preserve a single tree).
-struct NavNode {
-  ConceptId concept_id = kInvalidConcept;
-  NavNodeId parent = kInvalidNavNode;
-  std::vector<NavNodeId> children;
-  /// Citations (local result indexes) directly associated with the concept
-  /// — the paper's L(n).
-  DynamicBitset results;
-  /// |L(n)| cached.
-  int attached_count = 0;
-  /// Corpus-wide citation count of the concept — the paper's |LT(n)|,
-  /// the denominator of the EXPLORE probability.
-  int64_t global_count = 0;
-};
-
 /// One node of a serialized navigation tree, in pre-order: what the
-/// artifact codec moves between shards. Children vectors are not carried —
-/// a valid pre-order layout reconstructs them (ascending-id append to the
-/// parent reproduces the construction-time order exactly).
+/// artifact codec moves between shards. Child links are not carried — a
+/// valid pre-order layout implies them (children in ascending id order).
 struct SerializedNavNode {
   ConceptId concept_id = kInvalidConcept;
   NavNodeId parent = kInvalidNavNode;
@@ -49,9 +32,16 @@ struct SerializedNavNode {
 /// The paper's Navigation Tree (Definition 2): the maximum embedding of the
 /// initial navigation tree such that no node except the root has an empty
 /// results list. Construction attaches each result citation to its
-/// associated concepts (Definition: Initial Navigation Tree) and then
-/// splices out empty nodes bottom-up, preserving ancestor/descendant
-/// relationships.
+/// associated concepts (Definition: Initial Navigation Tree) and keeps, in
+/// one pre-order sweep of the hierarchy, exactly the concepts that received
+/// a citation, each under its nearest kept ancestor — the result of
+/// recursively splicing out empty nodes.
+///
+/// The tree is immutable and complete when a constructor returns: nodes
+/// live in pre-order as parallel columns (concept, parent, |L(n)|, |LT(n)|,
+/// L(n), pre-order interval end, attached prefix sums, subtree citation
+/// sets and counts). Every const method is a pure read, so one instance
+/// serves concurrent sessions (the QueryArtifactCache's sharing contract).
 class NavigationTree {
  public:
   /// Builds the navigation tree for `result` using the citation->concepts
@@ -65,10 +55,9 @@ class NavigationTree {
   /// structural invariant (root first, parents preceding children in a
   /// valid pre-order nesting, concepts unique and inside the hierarchy,
   /// result indexes ascending and inside the result set) is validated
-  /// BEFORE any internal table is built, so arbitrary bytes yield a typed
-  /// kDataLoss instead of tripping a CHECK. The returned tree is Freeze()d
-  /// — byte-identical SoA layout and subtree caches to a locally built,
-  /// frozen tree of the same shape.
+  /// BEFORE any column is built, so arbitrary bytes yield a typed kDataLoss
+  /// instead of tripping a CHECK. The returned tree has the same columns as
+  /// a locally built tree of the same shape.
   static Result<std::shared_ptr<NavigationTree>> FromSerializedNodes(
       const ConceptHierarchy& hierarchy,
       std::shared_ptr<const ResultSet> result,
@@ -82,70 +71,49 @@ class NavigationTree {
   NavigationTree(NavigationTree&&) = default;
   NavigationTree& operator=(NavigationTree&&) = default;
 
-  size_t size() const { return nodes_.size(); }
+  size_t size() const { return concept_.size(); }
 
   static constexpr NavNodeId kRoot = 0;
 
-  const NavNode& node(NavNodeId id) const {
-    BIONAV_CHECK_GE(id, 0);
-    BIONAV_CHECK_LT(static_cast<size_t>(id), nodes_.size());
-    return nodes_[static_cast<size_t>(id)];
-  }
-
-  // Structure-of-arrays accessors. Freeze() flattens the pointer-based
-  // nodes into parallel index arrays (parent / first-child / next-sibling
-  // plus scalar columns); frozen trees are immutable and shared read-only
-  // across sessions, so the dense 4-8 byte strides replace ~100-byte
-  // NavNode hops on every hot EXPAND loop. Before Freeze() the accessors
-  // fall back to the lazy pointer tree, so call sites never branch on
-  // frozen() themselves.
-
-  NavNodeId parent(NavNodeId id) const {
-    return frozen_ ? soa_parent_[CheckedIndex(id)] : node(id).parent;
-  }
+  NavNodeId parent(NavNodeId id) const { return parent_[CheckedIndex(id)]; }
   ConceptId concept_of(NavNodeId id) const {
-    return frozen_ ? soa_concept_[CheckedIndex(id)] : node(id).concept_id;
+    return concept_[CheckedIndex(id)];
   }
+  /// |L(n)|.
   int attached_count(NavNodeId id) const {
-    return frozen_ ? soa_attached_[CheckedIndex(id)] : node(id).attached_count;
+    return attached_[CheckedIndex(id)];
   }
+  /// Corpus-wide citation count of the concept — the paper's |LT(n)|, the
+  /// denominator of the EXPLORE probability.
   int64_t global_count(NavNodeId id) const {
-    return frozen_ ? soa_global_[CheckedIndex(id)] : node(id).global_count;
+    return global_[CheckedIndex(id)];
   }
-  /// L(n), the citations attached directly to the node. Bitsets are heap
-  /// objects either way, so both layouts serve them from the node store.
-  const DynamicBitset& results(NavNodeId id) const { return node(id).results; }
+  /// L(n), the citations (local result indexes) attached directly to the
+  /// node.
+  const DynamicBitset& results(NavNodeId id) const {
+    return results_[CheckedIndex(id)];
+  }
 
-  /// First child in pre-order, or kInvalidNavNode for a leaf (SoA chain;
-  /// derived from the pointer tree before Freeze()).
+  /// First child, or kInvalidNavNode for a leaf: in pre-order a non-leaf's
+  /// first child is the next id.
   NavNodeId first_child(NavNodeId id) const {
-    if (frozen_) return soa_first_child_[CheckedIndex(id)];
-    const NavNode& n = node(id);
-    return n.children.empty() ? kInvalidNavNode : n.children.front();
+    return SubtreeEnd(id) > id + 1 ? id + 1 : kInvalidNavNode;
   }
-  /// Next sibling in pre-order, or kInvalidNavNode for a last child.
+  /// Next sibling, or kInvalidNavNode for a last child: a node's next
+  /// sibling starts where its subtree ends, if still inside the parent's.
   NavNodeId next_sibling(NavNodeId id) const {
-    if (frozen_) return soa_next_sibling_[CheckedIndex(id)];
-    const NavNode& n = node(id);
-    if (n.parent == kInvalidNavNode) return kInvalidNavNode;
-    const std::vector<NavNodeId>& sibs = node(n.parent).children;
-    for (size_t i = 0; i + 1 < sibs.size(); ++i) {
-      if (sibs[i] == id) return sibs[i + 1];
-    }
-    return kInvalidNavNode;
+    NavNodeId p = parent(id);
+    if (p == kInvalidNavNode) return kInvalidNavNode;
+    NavNodeId end = SubtreeEnd(id);
+    return end < SubtreeEnd(p) ? end : kInvalidNavNode;
   }
 
-  /// Visits the children of `id` in pre-order. Uses the SoA sibling chain
-  /// when frozen, the pointer tree's child vector otherwise; both orders
-  /// are identical (asserted at Freeze()).
+  /// Visits the children of `id` in ascending id (construction) order.
   template <typename Fn>
   void ForEachChild(NavNodeId id, Fn&& fn) const {
-    if (frozen_) {
-      for (NavNodeId c = soa_first_child_[CheckedIndex(id)];
-           c != kInvalidNavNode; c = soa_next_sibling_[static_cast<size_t>(c)])
-        fn(c);
-    } else {
-      for (NavNodeId c : node(id).children) fn(c);
+    for (NavNodeId c = id + 1, end = SubtreeEnd(id); c < end;
+         c = subtree_end_[static_cast<size_t>(c)]) {
+      fn(c);
     }
   }
 
@@ -159,36 +127,23 @@ class NavigationTree {
 
   /// Distinct citations attached anywhere in the subtree rooted at `id`
   /// (the per-node count displayed by the static interface of Fig 1).
-  DynamicBitset SubtreeResults(NavNodeId id) const;
+  const DynamicBitset& SubtreeResults(NavNodeId id) const {
+    return subtree_results_[CheckedIndex(id)];
+  }
 
-  /// Same set, but served from a lazy per-node cache: the first call walks
-  /// the subtree once (filling the cache for every node in it), later
-  /// calls are O(1). EXPAND repeatedly needs subtree unions while cutting
-  /// its way down one root-to-leaf path, so this turns the per-EXPAND
-  /// re-walk of pre-order ranges into a single amortized pass per tree.
-  /// The cache is unsynchronized: an unfrozen NavigationTree is a
-  /// per-session object (see DESIGN.md "Concurrency model"); Freeze() a
-  /// tree before sharing it across threads.
-  const DynamicBitset& SubtreeResultsCached(NavNodeId id) const;
+  /// |SubtreeResults(id)|.
+  int SubtreeDistinct(NavNodeId id) const {
+    return subtree_distinct_[CheckedIndex(id)];
+  }
 
-  /// Precomputes the subtree-results/distinct caches for every node and
-  /// marks the tree frozen. A frozen tree is deeply immutable — every
-  /// const method is a pure read — so one instance can serve concurrent
-  /// sessions (the QueryArtifactCache's sharing contract). Reaching the
-  /// lazy fill path on a frozen tree is a checked invariant violation.
-  void Freeze();
+  /// Kept so navbench/replay.cc, which times a separate freeze step, still
+  /// compiles; the tree is complete when its constructor returns.
+  void Freeze() const {}
 
-  /// True once Freeze() ran.
-  bool frozen() const { return frozen_; }
-
-  /// Heap bytes held by the tree: nodes (children lists, attached-citation
-  /// bitsets), the concept index, pre-order intervals, prefix sums and
-  /// whatever portion of the subtree caches is materialized. Feeds the
+  /// Heap bytes held by the tree: its columns (attached-citation and
+  /// subtree bitsets included) and the concept index. Feeds the
   /// QueryArtifactCache byte budget.
   size_t MemoryFootprint() const;
-
-  /// |SubtreeResultsCached(id)|, cached alongside the set.
-  int SubtreeDistinct(NavNodeId id) const;
 
   /// Sum of |L(n)| over the subtree of `id`, with duplicates — O(1) via
   /// pre-order prefix sums (the k-partition weight of an intact subtree).
@@ -208,15 +163,10 @@ class NavigationTree {
   /// Maximum depth (root = 0).
   int Height() const;
 
-  /// Node ids in pre-order.
-  std::vector<NavNodeId> PreOrderIds() const;
-
   /// Nodes are stored in pre-order, so the subtree of `id` occupies the
   /// contiguous id range [id, SubtreeEnd(id)).
   NavNodeId SubtreeEnd(NavNodeId id) const {
-    BIONAV_CHECK_GE(id, 0);
-    BIONAV_CHECK_LT(static_cast<size_t>(id), subtree_end_.size());
-    return subtree_end_[static_cast<size_t>(id)];
+    return subtree_end_[CheckedIndex(id)];
   }
 
   /// True iff `a` is an ancestor of `b` or a == b (navigation-tree order).
@@ -228,41 +178,41 @@ class NavigationTree {
   int NodeDepth(NavNodeId id) const;
 
  private:
-  /// Deserialization shell: binds the hierarchy/result, leaves the node
-  /// store for FromSerializedNodes to fill.
+  /// Deserialization shell: binds the hierarchy/result, leaves the columns
+  /// for FromSerializedNodes to fill.
   NavigationTree(const ConceptHierarchy* hierarchy,
                  std::shared_ptr<const ResultSet> result)
       : hierarchy_(hierarchy), result_(std::move(result)) {}
 
   size_t CheckedIndex(NavNodeId id) const {
     BIONAV_CHECK_GE(id, 0);
-    BIONAV_CHECK_LT(static_cast<size_t>(id), nodes_.size());
+    BIONAV_CHECK_LT(static_cast<size_t>(id), concept_.size());
     return static_cast<size_t>(id);
   }
 
-  /// Builds the SoA columns from the pointer tree and cross-checks the two
-  /// layouts (pre-order arithmetic vs child vectors) — Freeze()-time part
-  /// of the SoA==lazy equivalence contract.
-  void BuildFlatLayout();
+  /// Reserves every per-node column for `n` nodes.
+  void Reserve(size_t n);
+  /// Appends the next node in pre-order; `parent` precedes it.
+  void AppendNode(ConceptId concept_id, NavNodeId parent,
+                  DynamicBitset results, int64_t global_count);
+  /// Derives the concept index, pre-order interval ends, attached prefix
+  /// sums and subtree citation sets from the appended nodes — the one
+  /// finishing step of both constructors.
+  void Finish();
 
   const ConceptHierarchy* hierarchy_;
   std::shared_ptr<const ResultSet> result_;
-  std::vector<NavNode> nodes_;
-  std::vector<NavNodeId> concept_to_node_;  // Indexed by ConceptId.
-  std::vector<NavNodeId> subtree_end_;      // Pre-order interval ends.
+  // Per-node columns, indexed by NavNodeId (pre-order).
+  std::vector<ConceptId> concept_;
+  std::vector<NavNodeId> parent_;
+  std::vector<int> attached_;
+  std::vector<int64_t> global_;
+  std::vector<DynamicBitset> results_;
+  std::vector<NavNodeId> subtree_end_;
+  std::vector<DynamicBitset> subtree_results_;
+  std::vector<int> subtree_distinct_;
   std::vector<int64_t> attached_prefix_;    // Size nodes+1.
-  // Lazy subtree-results cache (unsynchronized until Freeze()).
-  mutable std::vector<DynamicBitset> subtree_results_;
-  mutable std::vector<int> subtree_distinct_;  // -1 = not yet computed.
-  // Structure-of-arrays mirror of nodes_, filled by Freeze() (empty until
-  // then). Index-parallel with nodes_.
-  std::vector<ConceptId> soa_concept_;
-  std::vector<NavNodeId> soa_parent_;
-  std::vector<NavNodeId> soa_first_child_;
-  std::vector<NavNodeId> soa_next_sibling_;
-  std::vector<int> soa_attached_;
-  std::vector<int64_t> soa_global_;
-  bool frozen_ = false;
+  std::vector<NavNodeId> concept_to_node_;  // Indexed by ConceptId.
 };
 
 }  // namespace bionav

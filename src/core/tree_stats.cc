@@ -13,18 +13,19 @@ NavigationTreeStats ComputeTreeStats(const NavigationTree& nav) {
   std::vector<int> depth(nav.size(), 0);
   std::vector<int> width;
   for (size_t i = 0; i < nav.size(); ++i) {
-    const NavNode& node = nav.node(static_cast<NavNodeId>(i));
+    NavNodeId id = static_cast<NavNodeId>(i);
     if (i > 0) {
-      depth[i] = depth[static_cast<size_t>(node.parent)] + 1;
+      depth[i] = depth[static_cast<size_t>(nav.parent(id))] + 1;
     }
     if (static_cast<size_t>(depth[i]) >= width.size()) {
       width.resize(static_cast<size_t>(depth[i]) + 1, 0);
     }
     width[static_cast<size_t>(depth[i])]++;
     stats.height = std::max(stats.height, depth[i]);
-    stats.attachments_with_duplicates += node.attached_count;
-    stats.max_fanout =
-        std::max(stats.max_fanout, static_cast<int>(node.children.size()));
+    stats.attachments_with_duplicates += nav.attached_count(id);
+    int fanout = 0;
+    nav.ForEachChild(id, [&](NavNodeId) { ++fanout; });
+    stats.max_fanout = std::max(stats.max_fanout, fanout);
   }
   stats.max_width =
       width.empty() ? 0 : *std::max_element(width.begin(), width.end());

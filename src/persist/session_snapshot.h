@@ -13,7 +13,7 @@
 namespace bionav {
 
 /// Everything a NavigationSession needs to come back from disk. The heavy
-/// per-query artifacts (result set, frozen navigation tree, cost model) are
+/// per-query artifacts (result set, navigation tree, cost model) are
 /// deliberately NOT here — they are shared, immutable, and rebuildable via
 /// the QueryArtifactCache from the query string — so a snapshot is a few
 /// hundred bytes even for a deep session: the token, the query, and the

@@ -1182,7 +1182,9 @@ void NavRouter::Shutdown() {
                        false);
         }
         if (i == 0) {
-          for (const ProbePtr& probe : probes_) {
+          // By value: FinishProbe clears the probes_ slot, which would
+          // free a probe still referenced through the slot.
+          for (ProbePtr probe : probes_) {
             if (probe != nullptr && !probe->done) {
               FinishProbe(probe, false, "");
             }

@@ -292,6 +292,27 @@ bool FramedFrontend::DecoderBroken(const ConnPtr& conn) const {
                                            : conn->decoder.overflowed();
 }
 
+bool FramedFrontend::RejectBrokenStream(const ConnPtr& conn) {
+  if (conn->closed || conn->draining || !DecoderBroken(conn)) return false;
+  // Slow-loris / runaway frame (either framing), or a binary stream that
+  // lost sync: answer with a typed error in sequence (after any complete
+  // frames that preceded it), then drain and close.
+  bool oversized = conn->proto == WireProto::kBinary
+                       ? conn->bdecoder.overflowed()
+                       : conn->decoder.overflowed();
+  if (oversized) oversized_frames_.fetch_add(1, std::memory_order_relaxed);
+  CountProtocolError();
+  std::string message =
+      oversized ? "request frame exceeds " +
+                      std::to_string(options_.max_frame_bytes) + " bytes"
+                : "malformed binary frame header";
+  AnswerLocally(conn,
+                WireResponse::Error(conn->proto, WireError::kBadRequest,
+                                    message),
+                /*close=*/true);
+  return true;
+}
+
 void FramedFrontend::ReadConnection(const ConnPtr& conn) {
   // Bounded reads per readiness event so one firehose connection cannot
   // starve its loop siblings; level-triggering redrives the remainder.
@@ -340,25 +361,7 @@ void FramedFrontend::ReadConnection(const ConnPtr& conn) {
                   /*close=*/true);
     return;
   }
-  if (DecoderBroken(conn) && !conn->draining) {
-    // Slow-loris / runaway frame (either framing), or a binary stream that
-    // lost sync: answer with a typed error in sequence (after any complete
-    // frames that preceded it), then drain and close.
-    bool oversized = conn->proto == WireProto::kBinary
-                         ? conn->bdecoder.overflowed()
-                         : conn->decoder.overflowed();
-    if (oversized) oversized_frames_.fetch_add(1, std::memory_order_relaxed);
-    CountProtocolError();
-    std::string message =
-        oversized ? "request frame exceeds " +
-                        std::to_string(options_.max_frame_bytes) + " bytes"
-                  : "malformed binary frame header";
-    AnswerLocally(conn,
-                  WireResponse::Error(conn->proto, WireError::kBadRequest,
-                                      message),
-                  /*close=*/true);
-    return;
-  }
+  if (RejectBrokenStream(conn)) return;
   if (peer_eof) {
     // Half-close: the client is done sending. Already-buffered pipelined
     // frames still execute and their responses flush before the close. A
@@ -449,8 +452,12 @@ void FramedFrontend::Complete(const ConnPtr& conn, uint64_t seq,
   FlushWrites(conn);
   if (conn->closed) return;
   // Capacity freed (inflight slot and possibly queue bytes): pull more
-  // buffered frames, then recompute read interest.
-  if (HasBufferedFrame(conn)) DispatchFrames(conn);
+  // buffered frames — which may reach an oversized line — then recompute
+  // read interest.
+  if (HasBufferedFrame(conn)) {
+    DispatchFrames(conn);
+    if (RejectBrokenStream(conn)) return;
+  }
   if (!conn->closed) UpdateInterest(conn);
 }
 

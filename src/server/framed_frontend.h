@@ -205,6 +205,10 @@ class FramedFrontend {
   bool HasBufferedFrame(const ConnPtr& conn) const;
   bool NextBufferedFrame(const ConnPtr& conn, std::string* payload);
   bool DecoderBroken(const ConnPtr& conn) const;
+  /// Answers a broken decoder (runaway frame, lost binary sync) with a
+  /// typed error after the frames before it, then drains and closes.
+  /// False when the stream is healthy, draining or closed.
+  bool RejectBrokenStream(const ConnPtr& conn);
   /// Hands buffered frames to the dispatch callback (or answers
   /// SHUTTING_DOWN when draining). Honors the pipelining cap.
   void DispatchFrames(const ConnPtr& conn);

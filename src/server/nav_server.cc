@@ -293,7 +293,7 @@ WireFrame NavServer::HandleExpand(const RequestView& request,
         // Template eligibility must be probed before Expand mutates the
         // active tree: expanding a *visible* node whose component was
         // never split reveals a node set that is a pure function of the
-        // frozen artifacts (tree + cost model + shared strategy), so the
+        // shared artifacts (tree + cost model + shared strategy), so the
         // serialized reply is identical across sessions and cacheable.
         bool eligible = false;
         if (request.node >= 0 &&
@@ -391,7 +391,7 @@ WireFrame NavServer::HandleShowResults(const RequestView& request,
         if (!r.ok()) return r.status();
         summaries = r.TakeValue();
         // Same intact-component gate as EXPAND: the citations attached
-        // under a visible, never-split component are exactly its frozen
+        // under a visible, never-split component are exactly its
         // navigation subtree's, and their ranking depends only on the
         // session query — which therefore joins the template key.
         if (request.node >= 0 &&

@@ -422,10 +422,22 @@ bool LineFrameDecoder::Feed(std::string_view data) {
 bool LineFrameDecoder::Next(std::string* line) {
   size_t newline = buffer_.find('\n', consumed_);
   if (newline == std::string::npos) return false;
+  // A complete line is held to the same budget as an unterminated tail;
+  // the frames before it have already been handed out.
+  if (newline - consumed_ > max_frame_bytes_) {
+    overflowed_ = true;
+    return false;
+  }
   line->assign(buffer_, consumed_, newline - consumed_);
   if (!line->empty() && line->back() == '\r') line->pop_back();
   consumed_ = newline + 1;
   return true;
+}
+
+bool LineFrameDecoder::has_frame() const {
+  size_t newline = buffer_.find('\n', consumed_);
+  return newline != std::string::npos &&
+         newline - consumed_ <= max_frame_bytes_;
 }
 
 // ---------------------------------------------------------------------------

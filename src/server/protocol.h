@@ -171,14 +171,15 @@ class LineFrameDecoder {
   bool Feed(std::string_view data);
 
   /// Pops the next complete frame into `*line` ('\n' consumed, one trailing
-  /// '\r' trimmed). False when no complete frame is buffered.
+  /// '\r' trimmed). False when no complete frame is buffered, or when the
+  /// next complete line exceeds the frame limit (that latches
+  /// overflowed()).
   bool Next(std::string* line);
 
   bool overflowed() const { return overflowed_; }
-  /// True when a complete frame is buffered (Next() would succeed).
-  bool has_frame() const {
-    return buffer_.find('\n', consumed_) != std::string::npos;
-  }
+  /// True when a complete frame within the limit is buffered (Next()
+  /// would succeed).
+  bool has_frame() const;
   /// Bytes of the unconsumed tail (partial frame + undelivered frames).
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 

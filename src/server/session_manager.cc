@@ -154,7 +154,7 @@ SessionManager::~SessionManager() {
 int64_t SessionManager::NowMs() const { return options_.clock(); }
 
 std::shared_ptr<const QueryArtifacts> SessionManager::ResolveArtifacts(
-    const std::string& query, bool freeze, bool allow_peer) {
+    const std::string& query, bool allow_peer) {
   if (allow_peer && options_.peer_fetcher) {
     std::shared_ptr<const QueryArtifacts> fetched =
         options_.peer_fetcher(NormalizeQueryKey(query));
@@ -165,8 +165,7 @@ std::shared_ptr<const QueryArtifacts> SessionManager::ResolveArtifacts(
     peer_fetch_misses_.fetch_add(1, std::memory_order_relaxed);
   }
   artifact_builds_.fetch_add(1, std::memory_order_relaxed);
-  return BuildQueryArtifacts(*hierarchy_, *eutils_, query, cost_params_,
-                             freeze);
+  return BuildQueryArtifacts(*hierarchy_, *eutils_, query, cost_params_);
 }
 
 Result<std::string> SessionManager::Create(const std::string& query,
@@ -191,12 +190,12 @@ Result<SessionManager::CreateInfo> SessionManager::CreateSession(
   if (cache_ != nullptr) {
     QueryArtifactCache::Lookup lookup =
         cache_->GetOrBuild(NormalizeQueryKey(query), [&] {
-          return ResolveArtifacts(query, /*freeze=*/true, /*allow_peer=*/true);
+          return ResolveArtifacts(query, /*allow_peer=*/true);
         });
     artifacts = std::move(lookup.artifacts);
     info.cache_hit = lookup.hit;
   } else {
-    artifacts = ResolveArtifacts(query, /*freeze=*/false, /*allow_peer=*/false);
+    artifacts = ResolveArtifacts(query, /*allow_peer=*/false);
   }
   info.artifacts = artifacts;
   auto entry = std::make_shared<Entry>();
@@ -233,9 +232,7 @@ Status SessionManager::WithSession(
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(token);
     if (it != sessions_.end()) {
-      int64_t now = NowMs();
-      if (options_.ttl_ms > 0 &&
-          now - it->second->last_used_ms > options_.ttl_ms) {
+      if (ExpiredLocked(*it->second, NowMs())) {
         ++counters_.expired_ttl;
         SessionsExpired()->Increment();
         EraseResidentLocked(it);
@@ -344,13 +341,11 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
                         ->GetOrBuild(NormalizeQueryKey(snap.query),
                                      [&] {
                                        return ResolveArtifacts(
-                                           snap.query, /*freeze=*/true,
-                                           /*allow_peer=*/true);
+                                           snap.query, /*allow_peer=*/true);
                                      })
                         .artifacts;
       } else {
-        artifacts = ResolveArtifacts(snap.query, /*freeze=*/false,
-                                     /*allow_peer=*/false);
+        artifacts = ResolveArtifacts(snap.query, /*allow_peer=*/false);
       }
       Result<std::unique_ptr<NavigationSession>> session = RestoreSession(
           snap, eutils_, std::move(artifacts), strategy_factory_);
@@ -422,7 +417,7 @@ Result<std::shared_ptr<const QueryArtifacts>> SessionManager::ArtifactsForKey(
   }
   QueryArtifactCache::Lookup lookup =
       cache_->GetOrBuild(NormalizeQueryKey(key), [&] {
-        return ResolveArtifacts(key, /*freeze=*/true, /*allow_peer=*/false);
+        return ResolveArtifacts(key, /*allow_peer=*/false);
       });
   return lookup.artifacts;
 }
@@ -543,11 +538,15 @@ SessionManagerStats SessionManager::stats() const {
   return out;
 }
 
+bool SessionManager::ExpiredLocked(const Entry& entry, int64_t now_ms) const {
+  return options_.ttl_ms > 0 && entry.inflight == 0 &&
+         now_ms - entry.last_used_ms > options_.ttl_ms;
+}
+
 void SessionManager::SweepExpiredLocked(int64_t now_ms) {
   if (options_.ttl_ms <= 0) return;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second->inflight == 0 &&
-        now_ms - it->second->last_used_ms > options_.ttl_ms) {
+    if (ExpiredLocked(*it->second, now_ms)) {
       ++counters_.expired_ttl;
       SessionsExpired()->Increment();
       it = EraseResidentLocked(it);

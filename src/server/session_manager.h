@@ -38,7 +38,7 @@ struct SessionManagerOptions {
   /// Also handed to the query-artifact cache, so session TTL and artifact
   /// TTL tick on the same (possibly fake) clock.
   std::function<int64_t()> clock;
-  /// Share query artifacts (result set, frozen navigation tree, cost
+  /// Share query artifacts (result set, navigation tree, cost
   /// model) across sessions of the same normalized query. When false,
   /// every QUERY rebuilds privately (the pre-cache behavior).
   bool cache_enabled = true;
@@ -65,7 +65,7 @@ struct SessionManagerOptions {
   /// (key self-owned, fleet unconfigured, peer down, record corrupt). The
   /// hook runs outside every SessionManager lock but inside the cache's
   /// per-key singleflight, so a shard issues at most one fetch per key no
-  /// matter how many sessions pile up. Bundles it returns must be frozen.
+  /// matter how many sessions pile up.
   /// Only consulted when cache_enabled is true — without the cache there
   /// is no singleflight to gate the fetch.
   std::function<std::shared_ptr<const QueryArtifacts>(const std::string&)>
@@ -136,7 +136,7 @@ class SessionManager {
   };
 
   /// Runs the online pipeline for `query` (ESearch -> navigation tree ->
-  /// active tree) — or, on a cache hit, reuses the shared frozen artifacts
+  /// active tree) — or, on a cache hit, reuses the shared immutable artifacts
   /// of an earlier session with the same normalized query — and registers
   /// the session. Expensive on a miss (tree construction), so the build
   /// runs outside every lock; concurrent creates of *distinct* queries
@@ -216,7 +216,10 @@ class SessionManager {
   /// `allow_peer`), local build otherwise. Runs outside every lock — it is
   /// the cache's singleflight builder on the cached path.
   std::shared_ptr<const QueryArtifacts> ResolveArtifacts(
-      const std::string& query, bool freeze, bool allow_peer);
+      const std::string& query, bool allow_peer);
+  /// The one TTL-expiry predicate: idle past the TTL and not pinned by an
+  /// op in flight. Requires mu_ held.
+  bool ExpiredLocked(const Entry& entry, int64_t now_ms) const;
   /// Drops every TTL-expired entry. Requires mu_ held.
   void SweepExpiredLocked(int64_t now_ms);
   /// Evicts least-recently-used entries until below capacity (spilling

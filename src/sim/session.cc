@@ -27,12 +27,11 @@ NavigationSession::NavigationSession(const ConceptHierarchy* hierarchy,
           eutils,
           // On-line pipeline of Section VII: ESearch for citation ids, then
           // the navigation tree from the association table, then the cost
-          // model. Unshared, so the tree keeps its lazy subtree caches.
+          // model, built privately for this session.
           [&] {
             BIONAV_CHECK(hierarchy != nullptr);
             BIONAV_CHECK(eutils != nullptr);
-            return BuildQueryArtifacts(*hierarchy, *eutils, query, params,
-                                       /*freeze=*/false);
+            return BuildQueryArtifacts(*hierarchy, *eutils, query, params);
           }(),
           query, std::move(strategy_factory)) {}
 

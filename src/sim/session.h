@@ -47,14 +47,14 @@ struct ExpandRecord {
 class NavigationSession {
  public:
   /// Cold path: runs the full pipeline privately for this session (the
-  /// artifacts are built lazily-cached and unshared).
+  /// artifacts are unshared).
   NavigationSession(const ConceptHierarchy* hierarchy,
                     const EUtilsClient* eutils, std::string query,
                     StrategyFactory strategy_factory,
                     CostModelParams params = CostModelParams());
 
   /// Shared-artifact path: the result set, navigation tree and cost model
-  /// come (typically frozen, from the QueryArtifactCache) ready-built;
+  /// come (typically shared, from the QueryArtifactCache) ready-built;
   /// only the per-session state — ActiveTree, strategy memos, trace ring —
   /// is constructed here. `query` is the user's original string (ranking
   /// in ShowResults uses it verbatim; the artifacts are keyed by its

@@ -42,7 +42,7 @@ void CheckPartitionInvariants(const ActiveTree& active, int comp,
     EXPECT_TRUE(mine.count(p.root));
     for (NavNodeId m : p.members) {
       if (m != p.root) {
-        EXPECT_TRUE(mine.count(nav.node(m).parent));
+        EXPECT_TRUE(mine.count(nav.parent(m)));
       }
     }
   }
@@ -52,7 +52,7 @@ void CheckPartitionInvariants(const ActiveTree& active, int comp,
   //    only be the partition root).
   for (const TreePartition& p : parts) {
     int64_t w = 0;
-    for (NavNodeId m : p.members) w += nav.node(m).attached_count;
+    for (NavNodeId m : p.members) w += nav.attached_count(m);
     EXPECT_EQ(w, p.weight);
     if (static_cast<double>(p.weight) > bound) {
       // Overweight is allowed only if the root alone exceeds the bound or
@@ -62,9 +62,7 @@ void CheckPartitionInvariants(const ActiveTree& active, int comp,
       // exceed the bound by at most the root's own weight plus one child
       // subtree (the classic k-partition guarantee: weight < bound +
       // max-node-weight when node weights are bounded).
-      EXPECT_GT(static_cast<double>(nav.node(p.root).attached_count) +
-                    bound,
-                0.0);
+      EXPECT_GT(static_cast<double>(nav.attached_count(p.root)) + bound, 0.0);
     }
   }
 }
@@ -175,12 +173,11 @@ TEST_P(KPartitionPropertyTest, InvariantsOnRandomInstances) {
     CheckPartitionInvariants(active, 0, parts, bound);
     // Weight bound holds whenever the partition root alone fits.
     for (const TreePartition& p : parts) {
-      if (inst.nav->node(p.root).attached_count <= bound &&
-          p.members.size() > 1) {
+      if (inst.nav->attached_count(p.root) <= bound && p.members.size() > 1) {
         // A multi-node partition whose root fits must respect the bound:
         // the algorithm detaches children until it does.
         EXPECT_LE(static_cast<double>(p.weight) -
-                      inst.nav->node(p.root).attached_count,
+                      inst.nav->attached_count(p.root),
                   bound);
       }
     }

@@ -90,11 +90,11 @@ TEST(SmallTreeFromComponent, MirrorsComponentStructure) {
   EXPECT_EQ(t.node(0).origin, NavigationTree::kRoot);
   for (int i = 0; i < t.size(); ++i) {
     NavNodeId origin = t.node(i).origin;
-    EXPECT_EQ(t.node(i).distinct, nav->node(origin).attached_count);
+    EXPECT_EQ(t.node(i).distinct, nav->attached_count(origin));
     EXPECT_DOUBLE_EQ(t.node(i).explore_weight,
                      cost.NodeExploreWeight(origin));
     if (i > 0) {
-      EXPECT_EQ(t.node(t.node(i).parent).origin, nav->node(origin).parent);
+      EXPECT_EQ(t.node(t.node(i).parent).origin, nav->parent(origin));
     }
   }
 }

@@ -13,6 +13,7 @@
 namespace bionav {
 namespace {
 
+using ::bionav::testing::ChildrenByParent;
 using ::bionav::testing::MiniFixture;
 using ::bionav::testing::RandomInstance;
 
@@ -23,7 +24,8 @@ TEST(StaticNavigation, RevealsAllChildren) {
   StaticNavigationStrategy strategy;
 
   EdgeCut cut = strategy.ChooseEdgeCut(active, NavigationTree::kRoot);
-  std::vector<NavNodeId> expected = nav->node(NavigationTree::kRoot).children;
+  std::vector<NavNodeId> expected =
+      ChildrenByParent(*nav)[NavigationTree::kRoot];
   EXPECT_EQ(cut.cut_children, expected);
   EXPECT_TRUE(active.ValidateEdgeCut(NavigationTree::kRoot, cut).ok());
 }
@@ -51,7 +53,8 @@ TEST(StaticNavigation, DrillDownMatchesTreeStructure) {
   NavNodeId physio = nav->NodeOfConcept(f.physio);
   ASSERT_TRUE(active.IsVisible(physio));
   EdgeCut cut = strategy.ChooseEdgeCut(active, physio);
-  EXPECT_EQ(cut.cut_children, nav->node(physio).children);
+  EXPECT_EQ(cut.cut_children,
+            ChildrenByParent(*nav)[static_cast<size_t>(physio)]);
 }
 
 TEST(RankedChildren, FirstPageIsTopKBySubtreeCount) {

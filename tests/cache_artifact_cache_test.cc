@@ -1,5 +1,5 @@
-// Tests for the shared query-artifact cache: key normalization, Freeze()
-// immutability of shared navigation trees, singleflight build
+// Tests for the shared query-artifact cache: key normalization, bundle
+// builds, singleflight build
 // deduplication, LRU byte-budget + TTL eviction under a fake clock, and
 // the serving-path guarantee that a cache-hit session navigates
 // identically to a cold one (in-process and over the wire).
@@ -257,45 +257,25 @@ TEST(QueryArtifactCacheTest, TemplateBytesGrowFootprintAndCountTowardBudget) {
             static_cast<int64_t>(a->MemoryFootprint()));
 }
 
-TEST(QueryArtifactCacheTest, FrozenTreeMatchesLazyFilledTree) {
-  const Workload& w = CacheWorkload();
-  std::unique_ptr<NavigationTree> lazy = w.BuildNavigationTree(0);
-  std::unique_ptr<NavigationTree> frozen = w.BuildNavigationTree(0);
-
-  EXPECT_FALSE(frozen->frozen());
-  frozen->Freeze();
-  EXPECT_TRUE(frozen->frozen());
-  frozen->Freeze();  // Idempotent.
-
-  ASSERT_EQ(frozen->size(), lazy->size());
-  for (NavNodeId id = 0; id < static_cast<NavNodeId>(lazy->size()); ++id) {
-    EXPECT_EQ(frozen->SubtreeDistinct(id), lazy->SubtreeDistinct(id)) << id;
-    EXPECT_TRUE(frozen->SubtreeResultsCached(id) ==
-                lazy->SubtreeResultsCached(id))
-        << "subtree bitset diverged at node " << id;
-  }
-  // The frozen tree's footprint includes every materialized subtree bitset.
-  EXPECT_GT(frozen->MemoryFootprint(), sizeof(NavigationTree));
-}
-
 TEST(QueryArtifactCacheTest, BuildQueryArtifactsFreezesForSharing) {
   const Workload& w = CacheWorkload();
   EUtilsClient eutils = w.corpus().MakeClient();
   const std::string query = w.query(0).spec.keyword;
 
-  auto shared = BuildQueryArtifacts(w.hierarchy(), eutils, query,
-                                    CostModelParams(), /*freeze=*/true);
+  auto shared =
+      BuildQueryArtifacts(w.hierarchy(), eutils, query, CostModelParams());
   ASSERT_NE(shared, nullptr);
-  EXPECT_TRUE(shared->nav->frozen());
   EXPECT_EQ(shared->key, NormalizeQueryKey(query));
   EXPECT_GE(shared->build_us, 0);
   EXPECT_GT(shared->MemoryFootprint(), 0u);
 
-  auto cold = BuildQueryArtifacts(w.hierarchy(), eutils, query,
-                                  CostModelParams(), /*freeze=*/false);
-  EXPECT_FALSE(cold->nav->frozen());
-  EXPECT_EQ(cold->result->size(), shared->result->size());
-  EXPECT_EQ(cold->nav->size(), shared->nav->size());
+  // A second build of the same query is an equal, independent bundle.
+  auto again =
+      BuildQueryArtifacts(w.hierarchy(), eutils, query, CostModelParams());
+  EXPECT_NE(again->nav, shared->nav);
+  EXPECT_EQ(again->result->size(), shared->result->size());
+  EXPECT_EQ(again->nav->size(), shared->nav->size());
+  EXPECT_EQ(again->MemoryFootprint(), shared->MemoryFootprint());
 }
 
 TEST(SessionManagerCacheTest, SecondCreateOfSameQueryHitsAndMatches) {

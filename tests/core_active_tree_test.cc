@@ -215,10 +215,10 @@ TEST_P(ActiveTreePropertyTest, RandomCutsAndBacktracksPreserveInvariants) {
       EXPECT_EQ(members.front(), active.ComponentRoot(comp));
       DynamicBitset acc = nav.result().MakeBitset();
       for (NavNodeId m : members) {
-        acc.UnionWith(nav.node(m).results);
+        acc.UnionWith(nav.results(m));
         // Up-closure: parent of a non-root member is a member.
         if (m != active.ComponentRoot(comp)) {
-          EXPECT_EQ(active.ComponentOf(nav.node(m).parent), comp);
+          EXPECT_EQ(active.ComponentOf(nav.parent(m)), comp);
         }
       }
       EXPECT_EQ(static_cast<int>(acc.Count()),

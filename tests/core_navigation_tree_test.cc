@@ -35,13 +35,13 @@ TEST(NavigationTree, MaximumEmbeddingPreservesAncestry) {
   // hierarchy ancestor 'Genetic Processes' is empty.
   NavNodeId expr = nav->NodeOfConcept(f.expression);
   ASSERT_NE(expr, kInvalidNavNode);
-  EXPECT_EQ(nav->node(expr).parent, NavigationTree::kRoot);
+  EXPECT_EQ(nav->parent(expr), NavigationTree::kRoot);
   // 'Apoptosis' hangs under 'Cell Death' which is kept.
   NavNodeId apo = nav->NodeOfConcept(f.apoptosis);
   NavNodeId death = nav->NodeOfConcept(f.death);
   ASSERT_NE(apo, kInvalidNavNode);
   ASSERT_NE(death, kInvalidNavNode);
-  EXPECT_EQ(nav->node(apo).parent, death);
+  EXPECT_EQ(nav->parent(apo), death);
 }
 
 TEST(NavigationTree, AttachedCountsMatchAssociations) {
@@ -50,17 +50,16 @@ TEST(NavigationTree, AttachedCountsMatchAssociations) {
   // Citations 2, 5, 6 mention proliferation.
   NavNodeId prolif = nav->NodeOfConcept(f.proliferation);
   ASSERT_NE(prolif, kInvalidNavNode);
-  EXPECT_EQ(nav->node(prolif).attached_count, 3);
+  EXPECT_EQ(nav->attached_count(prolif), 3);
   // Global count includes background citation 101.
-  EXPECT_EQ(nav->node(prolif).global_count, 4);
+  EXPECT_EQ(nav->global_count(prolif), 4);
 }
 
 TEST(NavigationTree, RootKeptEvenIfEmpty) {
   MiniFixture f;
   auto nav = f.BuildNav("prothymosin");
-  EXPECT_EQ(nav->node(NavigationTree::kRoot).concept_id,
-            ConceptHierarchy::kRoot);
-  EXPECT_EQ(nav->node(NavigationTree::kRoot).attached_count, 0);
+  EXPECT_EQ(nav->concept_of(NavigationTree::kRoot), ConceptHierarchy::kRoot);
+  EXPECT_EQ(nav->attached_count(NavigationTree::kRoot), 0);
 }
 
 TEST(NavigationTree, EmptyResultYieldsRootOnlyTree) {
@@ -93,7 +92,7 @@ TEST(NavigationTree, PreOrderStorageAndSubtreeIntervals) {
   MiniFixture f;
   auto nav = f.BuildNav("prothymosin");
   for (NavNodeId id = 1; id < static_cast<NavNodeId>(nav->size()); ++id) {
-    EXPECT_LT(nav->node(id).parent, id);  // Parents precede children.
+    EXPECT_LT(nav->parent(id), id);  // Parents precede children.
   }
   for (NavNodeId id = 0; id < static_cast<NavNodeId>(nav->size()); ++id) {
     NavNodeId end = nav->SubtreeEnd(id);
@@ -135,18 +134,18 @@ TEST_P(NavigationTreePropertyTest, InvariantsOnRandomInstances) {
 
   // 1. Every node except the root has attached citations (Definition 2).
   for (NavNodeId id = 1; id < static_cast<NavNodeId>(nav.size()); ++id) {
-    EXPECT_GT(nav.node(id).attached_count, 0);
+    EXPECT_GT(nav.attached_count(id), 0);
   }
 
   // 2. Navigation parenthood = nearest kept ancestor in the hierarchy.
   for (NavNodeId id = 1; id < static_cast<NavNodeId>(nav.size()); ++id) {
-    ConceptId c = nav.node(id).concept_id;
+    ConceptId c = nav.concept_of(id);
     ConceptId p = inst.hierarchy.parent(c);
     while (p != kInvalidConcept && nav.NodeOfConcept(p) == kInvalidNavNode) {
       p = inst.hierarchy.parent(p);
     }
     ASSERT_NE(p, kInvalidConcept);
-    EXPECT_EQ(nav.node(id).parent, nav.NodeOfConcept(p));
+    EXPECT_EQ(nav.parent(id), nav.NodeOfConcept(p));
   }
 
   // 3. Bitset counts agree with a set-based reference.
@@ -161,8 +160,8 @@ TEST_P(NavigationTreePropertyTest, InvariantsOnRandomInstances) {
 
   // 5. Attached count equals per-node bitset count.
   for (NavNodeId id = 0; id < static_cast<NavNodeId>(nav.size()); ++id) {
-    EXPECT_EQ(static_cast<size_t>(nav.node(id).attached_count),
-              nav.node(id).results.Count());
+    EXPECT_EQ(static_cast<size_t>(nav.attached_count(id)),
+              nav.results(id).Count());
   }
 }
 

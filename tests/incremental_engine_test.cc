@@ -2,11 +2,12 @@
 // surface: (1) with the cross-EXPAND memo on, Heuristic-ReducedOpt chooses
 // byte-identical cuts (and therefore identical navigation costs) as a
 // from-scratch recompute across random sessions with deep expand chains and
-// interleaved BACKTRACK/FIND, for both DP-reuse configurations; (2) frozen
-// SoA trees answer identically to the lazy pointer tree they were built
-// from; (3) BATCH_EXPAND equals the same cuts applied one EXPAND at a time,
-// round-trips both wire codecs, relays through the router, and spill/
-// restore of a batch-expanded session replays to a byte-identical VIEW.
+// interleaved BACKTRACK/FIND, for both DP-reuse configurations; (2) the
+// column-only navigation tree, built or decoded, matches structural
+// oracles derived from parent links alone; (3) BATCH_EXPAND equals the same
+// cuts applied one EXPAND at a time, round-trips both wire codecs, relays
+// through the router, and spill/restore of a batch-expanded session
+// replays to a byte-identical VIEW.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 namespace bionav {
 namespace {
 
+using ::bionav::testing::MatchesStructuralOracles;
 using ::bionav::testing::MiniFixture;
 using ::bionav::testing::RandomInstance;
 
@@ -155,50 +157,44 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEngineProperty,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 // ---------------------------------------------------------------------------
-// (2) SoA frozen layout == lazy pointer tree
+// (2) One immutable tree layout: derived structure matches oracles
 // ---------------------------------------------------------------------------
 
-class SoAFrozenTreeProperty : public ::testing::TestWithParam<uint64_t> {};
+class NavTreeLayoutProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SoAFrozenTreeProperty, AccessorsMatchPointerTreeEverywhere) {
+TEST_P(NavTreeLayoutProperty, BuiltAndDecodedTreesMatchStructuralOracles) {
   RandomInstance inst(GetParam() + 70, 500, 60);
-  const NavigationTree& nav = *inst.nav;  // Frozen by construction.
+  const NavigationTree& built = *inst.nav;
+  ASSERT_GT(built.size(), 20u);
+  EXPECT_TRUE(MatchesStructuralOracles(built));
 
-  for (NavNodeId id = 0; id < static_cast<NavNodeId>(nav.size()); ++id) {
-    const NavNode& n = nav.node(id);  // The lazy pointer-tree view.
-    EXPECT_EQ(nav.parent(id), n.parent);
-    EXPECT_EQ(nav.concept_of(id), n.concept_id);
-    EXPECT_EQ(nav.attached_count(id), n.attached_count);
-    EXPECT_EQ(nav.global_count(id), n.global_count);
-
-    // The SoA sibling chain enumerates exactly the pointer children, in
-    // the same (pre-order) order.
-    std::vector<NavNodeId> via_soa;
-    nav.ForEachChild(id, [&](NavNodeId c) { via_soa.push_back(c); });
-    EXPECT_EQ(via_soa, n.children) << "node " << id;
-
-    // first_child/next_sibling agree with the chain.
-    EXPECT_EQ(nav.first_child(id),
-              n.children.empty() ? kInvalidNavNode : n.children.front());
-    for (size_t k = 0; k + 1 < n.children.size(); ++k) {
-      EXPECT_EQ(nav.next_sibling(n.children[k]), n.children[k + 1]);
-    }
-    if (!n.children.empty()) {
-      EXPECT_EQ(nav.next_sibling(n.children.back()), kInvalidNavNode);
-    }
-
-    // Pre-order interval arithmetic stays coherent with parenthood.
-    if (n.parent != kInvalidNavNode) {
-      EXPECT_TRUE(nav.IsAncestorOrSelf(n.parent, id));
-      EXPECT_LT(id, nav.SubtreeEnd(n.parent));
-    }
+  // The same tree after a BNA1 round trip: FromSerializedNodes fills the
+  // columns through the same finishing step as the associating constructor.
+  auto decoded = QueryArtifacts::Deserialize(inst.hierarchy,
+                                             inst.MakeBundle()->Serialize());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const NavigationTree& got = *decoded.ValueOrDie()->nav;
+  EXPECT_TRUE(MatchesStructuralOracles(got));
+  ASSERT_EQ(got.size(), built.size());
+  for (NavNodeId id = 0; id < static_cast<NavNodeId>(built.size()); ++id) {
+    EXPECT_EQ(got.concept_of(id), built.concept_of(id));
+    EXPECT_EQ(got.parent(id), built.parent(id));
+    EXPECT_EQ(got.attached_count(id), built.attached_count(id));
+    EXPECT_EQ(got.global_count(id), built.global_count(id));
+    EXPECT_EQ(got.SubtreeEnd(id), built.SubtreeEnd(id));
+    EXPECT_EQ(got.SubtreeAttachedTotal(id), built.SubtreeAttachedTotal(id));
+    EXPECT_TRUE(got.SubtreeResults(id) == built.SubtreeResults(id)) << id;
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Seeds, NavTreeLayoutProperty,
+                         ::testing::Values(11u, 12u, 13u));
+
+class SoAFrozenTreeProperty : public ::testing::TestWithParam<uint64_t> {};
+
 TEST_P(SoAFrozenTreeProperty, NavigationAnswersMatchMiniFixtureLazyTwin) {
-  // MiniFixture builds two independent trees for the same query; one is
-  // interrogated through SoA accessors, the other through the pointer
-  // nodes, and a full oracle session must behave identically on both.
+  // MiniFixture builds two independent trees for the same query; a full
+  // oracle session must behave identically on both.
   MiniFixture fixture;
   std::unique_ptr<NavigationTree> a = fixture.BuildNav("prothymosin");
   std::unique_ptr<NavigationTree> b = fixture.BuildNav("prothymosin");

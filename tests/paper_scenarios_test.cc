@@ -45,8 +45,7 @@ TEST_F(PaperScenarioTest, Fig2SkipLevelReveal) {
   // Shown as a child of the root in the embedding although its navigation
   // parent (Cell Growth Processes) is hidden.
   EXPECT_EQ(vis.nodes[0].children, std::vector<int>{1});
-  EXPECT_NE(nav_->node(Node(fixture_.proliferation)).parent,
-            NavigationTree::kRoot);
+  EXPECT_NE(nav_->parent(Node(fixture_.proliferation)), NavigationTree::kRoot);
 }
 
 TEST_F(PaperScenarioTest, Fig2CountShrinksAsConceptsAreRevealed) {
@@ -147,11 +146,10 @@ TEST_F(PaperScenarioTest, SectionIIDuplicateAwareCounts) {
   // duplicate-aware. Mini equivalent: apoptosis{1,6} + proliferation
   // {2,5,6} hold 5 attachments but only 4 distinct citations.
   DynamicBitset acc = nav_->result().MakeBitset();
-  acc.UnionWith(nav_->node(Node(fixture_.apoptosis)).results);
-  acc.UnionWith(nav_->node(Node(fixture_.proliferation)).results);
-  int attachments =
-      nav_->node(Node(fixture_.apoptosis)).attached_count +
-      nav_->node(Node(fixture_.proliferation)).attached_count;
+  acc.UnionWith(nav_->results(Node(fixture_.apoptosis)));
+  acc.UnionWith(nav_->results(Node(fixture_.proliferation)));
+  int attachments = nav_->attached_count(Node(fixture_.apoptosis)) +
+                    nav_->attached_count(Node(fixture_.proliferation));
   EXPECT_EQ(attachments, 5);
   EXPECT_EQ(acc.Count(), 4u);
 }

@@ -151,8 +151,7 @@ TEST_F(PersistSnapshotTest, RestoreWithoutSharedArtifactsRebuildsCold) {
 
   SessionSnapshot snap = SnapshotSession(session, "t", 0);
   std::shared_ptr<const QueryArtifacts> rebuilt = BuildQueryArtifacts(
-      fixture_.mesh, *fixture_.eutils, snap.query, CostModelParams(),
-      /*freeze=*/false);
+      fixture_.mesh, *fixture_.eutils, snap.query, CostModelParams());
   auto restored = RestoreSession(snap, fixture_.eutils.get(),
                                  std::move(rebuilt),
                                  MakeBioNavStrategyFactory());

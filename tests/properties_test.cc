@@ -64,9 +64,9 @@ TEST_P(CrossPropertyTest, VisualizationIsTheVisibleEmbedding) {
     for (size_t p = 0; p < vis.nodes.size(); ++p) {
       for (int c : vis.nodes[p].children) {
         NavNodeId child = vis.nodes[static_cast<size_t>(c)].node;
-        NavNodeId ancestor = nav.node(child).parent;
+        NavNodeId ancestor = nav.parent(child);
         while (ancestor != kInvalidNavNode && !active.IsVisible(ancestor)) {
-          ancestor = nav.node(ancestor).parent;
+          ancestor = nav.parent(ancestor);
         }
         EXPECT_EQ(ancestor, vis.nodes[p].node);
       }

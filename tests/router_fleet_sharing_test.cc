@@ -19,9 +19,12 @@
 #include <vector>
 
 #include "bionav.h"
+#include "test_support.h"
 
 namespace bionav {
 namespace {
+
+using ::bionav::testing::MatchesStructuralOracles;
 
 const Workload& SharingWorkload() {
   static const Workload* workload = [] {
@@ -324,7 +327,7 @@ TEST(RouterFleetSharingE2E, FetchArtifactThroughRouterReachesOwner) {
         QueryArtifacts::Deserialize(w.hierarchy(), record.ValueOrDie());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded.ValueOrDie()->key, key);
-    EXPECT_TRUE(decoded.ValueOrDie()->nav->frozen());
+    EXPECT_TRUE(MatchesStructuralOracles(*decoded.ValueOrDie()->nav));
   }
   // Both proto fetches resolved through the owner's singleflight: one
   // build, no peer traffic (the router forwarded, no shard peer-fetched).
@@ -580,7 +583,7 @@ TEST(PeerFetchTest, ConfigureFromFileCoversTheAutoSpawnWindow) {
   ASSERT_NE(fetched, nullptr) << "lazy file config never took effect";
   EXPECT_TRUE(fetcher.configured());
   EXPECT_EQ(fetched->key, owned_key);
-  EXPECT_TRUE(fetched->nav->frozen());
+  EXPECT_TRUE(MatchesStructuralOracles(*fetched->nav));
 
   ::remove(path.c_str());
   owner.Shutdown();

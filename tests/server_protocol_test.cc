@@ -631,5 +631,21 @@ TEST(ProtocolBinary, DecodeRejectsMalformedResponseBodies) {
   EXPECT_FALSE(DecodeBinaryResponse(unknown_type).ok());
 }
 
+TEST(LineFrameDecoderTest, OversizedCompleteLineLatchesAfterEarlierFrames) {
+  LineFrameDecoder decoder(16);
+  // One write: a short frame, a terminated 40-byte line, another frame.
+  ASSERT_TRUE(decoder.Feed("ok\n" + std::string(40, 'x') + "\nlater\n"));
+  std::string line;
+  ASSERT_TRUE(decoder.has_frame());
+  ASSERT_TRUE(decoder.Next(&line));
+  EXPECT_EQ(line, "ok");
+  EXPECT_FALSE(decoder.overflowed());
+  EXPECT_FALSE(decoder.has_frame());  // The next line is over the cap.
+  EXPECT_FALSE(decoder.Next(&line));
+  EXPECT_TRUE(decoder.overflowed());
+  EXPECT_FALSE(decoder.Next(&line));  // Latched: nothing past it.
+  EXPECT_FALSE(decoder.Feed("more\n"));
+}
+
 }  // namespace
 }  // namespace bionav

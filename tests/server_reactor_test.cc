@@ -293,6 +293,41 @@ TEST(NavServerReactor, OversizedFrameGetsTypedErrorThenClose) {
   server->Shutdown();
 }
 
+TEST(NavServerReactor, OversizedCompleteLineGetsTypedErrorThenClose) {
+  NavServerOptions options;
+  options.max_frame_bytes = 1024;
+  auto server = StartServer(options);
+  RawConn conn(server->port());
+  ASSERT_TRUE(conn.ok());
+
+  // A STATS line, then a ~4 KiB QUERY line that does end in '\n', in one
+  // write: the terminated line is held to the same cap as an unterminated
+  // tail, so STATS is answered, then one typed BAD_REQUEST, then a close —
+  // and the QUERY never runs.
+  Request query;
+  query.op = RequestOp::kQuery;
+  query.query = std::string(4096, 'q');
+  std::string big = SerializeRequest(query) + "\n";
+  ASSERT_GT(big.size(), 4096u);
+  ASSERT_TRUE(conn.SendAll(RequestLine(RequestOp::kStats) + big));
+
+  std::string response;
+  ASSERT_TRUE(conn.ReadLine(&response));
+  EXPECT_TRUE(MustParse(response).BoolOr("ok", false)) << response;
+  ASSERT_TRUE(conn.ReadLine(&response));
+  JsonValue doc = MustParse(response);
+  EXPECT_FALSE(doc.BoolOr("ok", true));
+  EXPECT_EQ(doc.StringOr("error", ""), "BAD_REQUEST");
+  EXPECT_NE(doc.StringOr("message", "").find("request frame exceeds 1024"),
+            std::string::npos)
+      << response;
+  EXPECT_TRUE(conn.AtEof()) << "connection left open after oversized line";
+  NavServerStats stats = server->stats();
+  EXPECT_EQ(stats.oversized_frames, 1);
+  EXPECT_EQ(stats.sessions.created, 0) << "oversized QUERY was executed";
+  server->Shutdown();
+}
+
 TEST(NavServerReactor, IdleConnectionReapedByTimerWheel) {
   NavServerOptions options;
   options.idle_timeout_ms = 100;

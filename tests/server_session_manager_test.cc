@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bionav.h"
@@ -105,6 +108,68 @@ TEST_F(SessionManagerTest, TtlExpiryWithInjectedClock) {
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(manager.active(), 0u);
   EXPECT_EQ(manager.stats().expired_ttl, 1);
+}
+
+TEST_F(SessionManagerTest, PinnedSessionIsNotTtlExpiredMidOperation) {
+  std::atomic<int64_t> now_ms{0};
+  SessionManagerOptions options;
+  options.ttl_ms = 1000;
+  options.clock = [&now_ms] { return now_ms.load(); };
+  SessionManager manager = MakeManager(options);
+  auto token = manager.Create("prothymosin");
+  ASSERT_TRUE(token.ok());
+  const std::string tok = token.ValueOrDie();
+
+  // Op A pins the session and blocks inside its callback.
+  std::promise<void> a_entered;
+  std::promise<void> release_a;
+  std::shared_future<void> release = release_a.get_future().share();
+  NavigationSession* a_session = nullptr;
+  Status a_status;
+  std::thread a([&] {
+    a_status = manager.WithSession(tok, [&](NavigationSession& session) {
+      a_session = &session;
+      a_entered.set_value();
+      release.wait();
+      return Status::OK();
+    });
+  });
+  a_entered.get_future().wait();
+
+  // The clock jumps past the TTL while A still holds the pin. A second
+  // touch must find the session live and queue behind A.
+  now_ms = 5000;
+  std::atomic<bool> b_done{false};
+  NavigationSession* b_session = nullptr;
+  Status b_status;
+  std::thread b([&] {
+    b_status = manager.WithSession(tok, [&](NavigationSession& session) {
+      b_session = &session;
+      return Status::OK();
+    });
+    b_done = true;
+  });
+  // Release A only once B has pinned too (or already failed).
+  while (manager.stats().operations < 2 && !b_done) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release_a.set_value();
+  a.join();
+  b.join();
+  EXPECT_TRUE(a_status.ok()) << a_status.ToString();
+  EXPECT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_EQ(b_session, a_session);
+
+  // A touch after A finished: its release stamped the jumped clock.
+  NavigationSession* c_session = nullptr;
+  Status c_status = manager.WithSession(tok, [&](NavigationSession& session) {
+    c_session = &session;
+    return Status::OK();
+  });
+  EXPECT_TRUE(c_status.ok()) << c_status.ToString();
+  EXPECT_EQ(c_session, a_session);
+  EXPECT_EQ(manager.active(), 1u);
+  EXPECT_EQ(manager.stats().expired_ttl, 0);
 }
 
 TEST_F(SessionManagerTest, TtlZeroDisablesExpiry) {

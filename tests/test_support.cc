@@ -1,5 +1,6 @@
 #include "test_support.h"
 
+#include <algorithm>
 #include <set>
 
 namespace bionav::testing {
@@ -90,16 +91,104 @@ RandomInstance::RandomInstance(uint64_t seed, int hierarchy_nodes,
                                          result);
 }
 
+std::shared_ptr<const QueryArtifacts> RandomInstance::MakeBundle() const {
+  auto bundle = std::make_shared<QueryArtifacts>();
+  bundle->key = corpus->queries[0].spec.keyword;
+  bundle->result = result;
+  auto tree =
+      std::make_shared<NavigationTree>(hierarchy, corpus->associations, result);
+  bundle->cost_model = std::make_shared<const CostModel>(tree.get());
+  bundle->nav = std::move(tree);
+  return bundle;
+}
+
+namespace {
+
+bool IsAncestorByParent(const NavigationTree& nav, NavNodeId a, NavNodeId u) {
+  while (u != kInvalidNavNode && u != a) u = nav.parent(u);
+  return u == a;
+}
+
+}  // namespace
+
 int ReferenceSubtreeDistinct(const NavigationTree& nav, NavNodeId id) {
   std::set<size_t> seen;
-  std::vector<NavNodeId> stack = {id};
-  while (!stack.empty()) {
-    NavNodeId u = stack.back();
-    stack.pop_back();
-    for (size_t i : nav.node(u).results.ToIndexes()) seen.insert(i);
-    for (NavNodeId c : nav.node(u).children) stack.push_back(c);
+  for (NavNodeId u = 0; u < static_cast<NavNodeId>(nav.size()); ++u) {
+    if (!IsAncestorByParent(nav, id, u)) continue;
+    for (size_t i : nav.results(u).ToIndexes()) seen.insert(i);
   }
   return static_cast<int>(seen.size());
+}
+
+std::vector<std::vector<NavNodeId>> ChildrenByParent(
+    const NavigationTree& nav) {
+  std::vector<std::vector<NavNodeId>> children(nav.size());
+  for (NavNodeId u = 1; u < static_cast<NavNodeId>(nav.size()); ++u) {
+    children[static_cast<size_t>(nav.parent(u))].push_back(u);
+  }
+  return children;
+}
+
+::testing::AssertionResult MatchesStructuralOracles(const NavigationTree& nav) {
+  const NavNodeId n = static_cast<NavNodeId>(nav.size());
+  if (n == 0 || nav.parent(NavigationTree::kRoot) != kInvalidNavNode) {
+    return ::testing::AssertionFailure() << "tree has no root";
+  }
+  const std::vector<std::vector<NavNodeId>> children = ChildrenByParent(nav);
+  // Descendant counts (self included) by walking every node's parent chain.
+  std::vector<NavNodeId> descendants(static_cast<size_t>(n), 0);
+  for (NavNodeId u = 0; u < n; ++u) {
+    for (NavNodeId a = u; a != kInvalidNavNode; a = nav.parent(a)) {
+      if (a < 0 || a >= n || a > u) {
+        return ::testing::AssertionFailure()
+               << "node " << u << " has ancestor " << a << " out of order";
+      }
+      ++descendants[static_cast<size_t>(a)];
+    }
+  }
+  for (NavNodeId id = 0; id < n; ++id) {
+    const std::vector<NavNodeId>& want = children[static_cast<size_t>(id)];
+    std::vector<NavNodeId> visited;
+    nav.ForEachChild(id, [&](NavNodeId c) { visited.push_back(c); });
+    if (visited != want) {
+      return ::testing::AssertionFailure()
+             << "ForEachChild order diverges at node " << id;
+    }
+    std::vector<NavNodeId> chained;
+    for (NavNodeId c = nav.first_child(id); c != kInvalidNavNode;
+         c = nav.next_sibling(c)) {
+      chained.push_back(c);
+    }
+    if (chained != want) {
+      return ::testing::AssertionFailure()
+             << "first_child/next_sibling chain diverges at node " << id;
+    }
+    const NavNodeId end = nav.SubtreeEnd(id);
+    if (end - id != descendants[static_cast<size_t>(id)]) {
+      return ::testing::AssertionFailure()
+             << "SubtreeEnd(" << id << ") = " << end << " but the node has "
+             << descendants[static_cast<size_t>(id)] << " descendants";
+    }
+    DynamicBitset acc = nav.result().MakeBitset();
+    for (NavNodeId u = id; u < end; ++u) {
+      if (!IsAncestorByParent(nav, id, u)) {
+        return ::testing::AssertionFailure()
+               << "node " << u << " lies in [" << id << ", " << end
+               << ") but descends elsewhere";
+      }
+      acc.UnionWith(nav.results(u));
+    }
+    if (!(nav.SubtreeResults(id) == acc)) {
+      return ::testing::AssertionFailure()
+             << "SubtreeResults(" << id << ") is not the union of its range";
+    }
+    if (nav.SubtreeDistinct(id) != static_cast<int>(acc.Count())) {
+      return ::testing::AssertionFailure()
+             << "SubtreeDistinct(" << id << ") = " << nav.SubtreeDistinct(id)
+             << ", expected " << acc.Count();
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace bionav::testing

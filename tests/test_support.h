@@ -1,6 +1,8 @@
 #ifndef BIONAV_TESTS_TEST_SUPPORT_H_
 #define BIONAV_TESTS_TEST_SUPPORT_H_
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,11 +51,27 @@ struct RandomInstance {
                  int target_depth = 3);
 
   ConceptId target() const { return corpus->queries[0].target; }
+
+  /// Artifact bundle of the instance's query — an independently built tree
+  /// of the same shape as `nav`, with its cost model — for the BNA1 codec.
+  std::shared_ptr<const QueryArtifacts> MakeBundle() const;
 };
 
 /// Brute-force reference: distinct citations attached in the navigation
-/// subtree of `id`, computed without bitsets.
+/// subtree of `id`, computed without bitsets from parent() links alone.
 int ReferenceSubtreeDistinct(const NavigationTree& nav, NavNodeId id);
+
+/// Children of every node rebuilt from parent() links alone, each list in
+/// ascending id order — an oracle independent of the tree's pre-order
+/// arithmetic.
+std::vector<std::vector<NavNodeId>> ChildrenByParent(const NavigationTree& nav);
+
+/// Checks the tree's derived structure against oracles built from parent()
+/// and results() alone: ForEachChild and first_child/next_sibling follow
+/// ChildrenByParent; [id, SubtreeEnd(id)) holds exactly the descendants of
+/// id; SubtreeResults(id) is the union of results(u) over that range and
+/// SubtreeDistinct(id) its count.
+::testing::AssertionResult MatchesStructuralOracles(const NavigationTree& nav);
 
 }  // namespace bionav::testing
 

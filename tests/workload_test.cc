@@ -99,7 +99,7 @@ TEST(Workload, IceNucleationTargetIsUnselective) {
     ConceptId t = w.query(i).target;
     int64_t global = w.corpus().associations.GlobalCount(t);
     auto nav = w.BuildNavigationTree(i);
-    int local = nav->node(nav->NodeOfConcept(t)).attached_count;
+    int local = nav->attached_count(nav->NodeOfConcept(t));
     EXPECT_GT(global, 50 * static_cast<int64_t>(local));
     return;
   }
