@@ -678,12 +678,7 @@ class OpenLoopHarness {
   }
 
   void SendRequest(Conn* c, const Request& request, Wait wait) {
-    if (proto_ == WireProto::kBinary) {
-      c->outbox += SerializeRequestBinary(request);
-    } else {
-      c->outbox += SerializeRequest(request);
-      c->outbox.push_back('\n');
-    }
+    c->outbox += EncodeRequestFrame(proto_, request);
     c->wait = wait;
     c->op_timer.Restart();
     FlushOut(c);

@@ -6,31 +6,13 @@
 
 // QueryArtifacts::{Serialize,Deserialize} — the FETCH_ARTIFACT payload
 // codec. Kept out of query_artifacts.cc so the cache layer's core stays
-// free of wire/persist dependencies for readers; the record discipline
-// (framing, CRC, typed rejection of anything untrustworthy) deliberately
-// mirrors src/persist/session_snapshot.cc.
+// free of wire/persist dependencies for readers; the record frame (magic,
+// length, CRC) is the SealRecord/OpenRecord pair BNS1 snapshots use, and
+// the varints follow the same canonical-only ReadVarint rule.
 
 namespace bionav {
 
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xff);
-  bytes[1] = static_cast<char>((v >> 8) & 0xff);
-  bytes[2] = static_cast<char>((v >> 16) & 0xff);
-  bytes[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(bytes, 4);
-}
-
-uint32_t ReadU32(std::string_view data, size_t pos) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(data[pos])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(data[pos + 1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(data[pos + 2]))
-             << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(data[pos + 3]))
-             << 24;
-}
 
 /// Doubles travel as their IEEE-754 bit pattern, fixed 8 bytes LE — varints
 /// would bloat (mantissa bits are high) and round-tripping through decimal
@@ -55,18 +37,6 @@ bool ReadF64(std::string_view data, size_t* pos, double* out) {
   *pos += 8;
   std::memcpy(out, &bits, sizeof(*out));
   return true;
-}
-
-/// ReadVarint that also refuses non-canonical encodings (overlong runs of
-/// zero continuation groups, or high bits beyond 64 in a tenth byte), so a
-/// record that decodes re-serializes to exactly the same bytes.
-bool ReadCanonicalVarint(std::string_view data, size_t* pos, uint64_t* out) {
-  const size_t start = *pos;
-  if (!ReadVarint(data, pos, out)) return false;
-  size_t len = 1;
-  for (uint64_t v = *out; v >= 0x80; v >>= 7) ++len;
-  return *pos - start == len &&
-         (len < 10 || static_cast<uint8_t>(data[*pos - 1]) == 1);
 }
 
 Status Corrupt(const std::string& what) {
@@ -117,43 +87,19 @@ std::string QueryArtifacts::Serialize() const {
     }
   }
 
-  std::string record;
-  record.reserve(kArtifactHeaderBytes + payload.size());
-  record.append(kArtifactMagic, sizeof(kArtifactMagic));
-  AppendU32(&record, static_cast<uint32_t>(payload.size()));
-  AppendU32(&record, Crc32(payload));
-  record.append(payload);
-  return record;
+  return SealRecord(kArtifactMagic, payload);
 }
 
 Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
     const ConceptHierarchy& hierarchy, std::string_view record) {
-  if (record.size() < kArtifactHeaderBytes) {
-    return Corrupt("truncated before the header (" +
-                   std::to_string(record.size()) + " bytes)");
-  }
-  if (std::memcmp(record.data(), kArtifactMagic, sizeof(kArtifactMagic)) !=
-      0) {
-    return Corrupt("has no BNA1 magic");
-  }
-  const uint32_t payload_len = ReadU32(record, 4);
-  const uint32_t crc = ReadU32(record, 8);
-  if (record.size() - kArtifactHeaderBytes != payload_len) {
-    return Corrupt("length mismatch: header says " +
-                   std::to_string(payload_len) + " payload bytes, " +
-                   std::to_string(record.size() - kArtifactHeaderBytes) +
-                   " present");
-  }
-  std::string_view payload = record.substr(kArtifactHeaderBytes);
-  if (Crc32(payload) != crc) {
-    return Corrupt("checksum mismatch");
-  }
+  Result<std::string_view> opened =
+      OpenRecord(kArtifactMagic, record, "artifact");
+  if (!opened.ok()) return opened.status();
+  const std::string_view payload = opened.ValueOrDie();
 
   size_t pos = 0;
   uint64_t version = 0;
-  if (!ReadCanonicalVarint(payload, &pos, &version)) {
-    return Corrupt("payload underrun");
-  }
+  if (!ReadVarint(payload, &pos, &version)) return Corrupt("payload underrun");
   if (version != kArtifactFormatVersion) {
     return Status::InvalidArgument("unsupported artifact format version " +
                                    std::to_string(version));
@@ -161,16 +107,12 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
 
   auto artifacts = std::make_shared<QueryArtifacts>();
   uint64_t key_len = 0;
-  if (!ReadCanonicalVarint(payload, &pos, &key_len)) {
-    return Corrupt("payload underrun");
-  }
+  if (!ReadVarint(payload, &pos, &key_len)) return Corrupt("payload underrun");
   if (key_len > payload.size() - pos) return Corrupt("key overrun");
   artifacts->key.assign(payload.substr(pos, static_cast<size_t>(key_len)));
   pos += static_cast<size_t>(key_len);
   uint64_t build = 0;
-  if (!ReadCanonicalVarint(payload, &pos, &build)) {
-    return Corrupt("payload underrun");
-  }
+  if (!ReadVarint(payload, &pos, &build)) return Corrupt("payload underrun");
   artifacts->build_us = ZigzagDecode(build);
 
   CostModelParams params;
@@ -178,9 +120,9 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   if (!ReadF64(payload, &pos, &params.expand_cost) ||
       !ReadF64(payload, &pos, &params.reveal_cost) ||
       !ReadF64(payload, &pos, &params.show_cost) ||
-      !ReadCanonicalVarint(payload, &pos, &upper) ||
-      !ReadCanonicalVarint(payload, &pos, &lower) ||
-      !ReadCanonicalVarint(payload, &pos, &mode)) {
+      !ReadVarint(payload, &pos, &upper) ||
+      !ReadVarint(payload, &pos, &lower) ||
+      !ReadVarint(payload, &pos, &mode)) {
     return Corrupt("payload underrun in cost params");
   }
   if (upper > 1u << 30 || lower > upper || mode > 2) {
@@ -191,7 +133,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   params.explore_weight_mode = static_cast<ExploreWeightMode>(mode);
 
   uint64_t citation_count = 0;
-  if (!ReadCanonicalVarint(payload, &pos, &citation_count)) {
+  if (!ReadVarint(payload, &pos, &citation_count)) {
     return Corrupt("payload underrun");
   }
   // Each citation id takes at least one payload byte.
@@ -202,7 +144,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   citations.reserve(static_cast<size_t>(citation_count));
   for (uint64_t i = 0; i < citation_count; ++i) {
     uint64_t raw = 0;
-    if (!ReadCanonicalVarint(payload, &pos, &raw)) {
+    if (!ReadVarint(payload, &pos, &raw)) {
       return Corrupt("payload underrun in citation list");
     }
     int64_t cid = ZigzagDecode(raw);
@@ -219,7 +161,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
   }
 
   uint64_t node_count = 0;
-  if (!ReadCanonicalVarint(payload, &pos, &node_count)) {
+  if (!ReadVarint(payload, &pos, &node_count)) {
     return Corrupt("payload underrun");
   }
   // A node takes at least 4 payload bytes (concept, parent, global, count).
@@ -232,10 +174,10 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
     SerializedNavNode node;
     uint64_t concept_raw = 0, parent_plus1 = 0, global_raw = 0,
              index_count = 0;
-    if (!ReadCanonicalVarint(payload, &pos, &concept_raw) ||
-        !ReadCanonicalVarint(payload, &pos, &parent_plus1) ||
-        !ReadCanonicalVarint(payload, &pos, &global_raw) ||
-        !ReadCanonicalVarint(payload, &pos, &index_count)) {
+    if (!ReadVarint(payload, &pos, &concept_raw) ||
+        !ReadVarint(payload, &pos, &parent_plus1) ||
+        !ReadVarint(payload, &pos, &global_raw) ||
+        !ReadVarint(payload, &pos, &index_count)) {
       return Corrupt("payload underrun in node list");
     }
     if (concept_raw > INT32_MAX || parent_plus1 > node_count ||
@@ -252,7 +194,7 @@ Result<std::shared_ptr<const QueryArtifacts>> QueryArtifacts::Deserialize(
     uint64_t idx = 0;
     for (uint64_t k = 0; k < index_count; ++k) {
       uint64_t delta = 0;
-      if (!ReadCanonicalVarint(payload, &pos, &delta)) {
+      if (!ReadVarint(payload, &pos, &delta)) {
         return Corrupt("payload underrun in result indexes");
       }
       idx = k == 0 ? delta : idx + delta;

@@ -108,16 +108,12 @@ struct QueryArtifacts {
       const ConceptHierarchy& hierarchy, std::string_view record);
 };
 
-/// On-disk/wire record layout of a serialized artifact bundle (integers
-/// little-endian), mirroring the BNS1 session-snapshot framing:
-///
-///   [0..3]   magic "BNA1"
-///   [4..7]   u32 payload length
-///   [8..11]  u32 CRC-32 (IEEE) of the payload
-///   [12.. ]  payload: varint-encoded fields, version first
+/// On-disk/wire record layout of a serialized artifact bundle: the sealed
+/// record of BNS1 session snapshots (SealRecord in persist/
+/// session_snapshot.h) under magic "BNA1", its payload canonical varints,
+/// version first.
 inline constexpr char kArtifactMagic[4] = {'B', 'N', 'A', '1'};
 inline constexpr uint64_t kArtifactFormatVersion = 1;
-inline constexpr size_t kArtifactHeaderBytes = 12;
 
 /// Cache key of a query string: ASCII-lowercased with whitespace runs
 /// collapsed to single spaces and outer whitespace stripped. Deliberately

@@ -1,30 +1,10 @@
 #include "persist/session_snapshot.h"
 
-#include <cstring>
-
 #include "server/protocol.h"
 
 namespace bionav {
 
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xff);
-  bytes[1] = static_cast<char>((v >> 8) & 0xff);
-  bytes[2] = static_cast<char>((v >> 16) & 0xff);
-  bytes[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(bytes, 4);
-}
-
-uint32_t ReadU32(std::string_view data, size_t pos) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(data[pos])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(data[pos + 1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(data[pos + 2]))
-             << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(data[pos + 3]))
-             << 24;
-}
 
 void AppendString(std::string* out, std::string_view s) {
   AppendVarint(out, s.size());
@@ -65,6 +45,41 @@ uint32_t Crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::string SealRecord(const char (&magic)[4], std::string_view payload) {
+  std::string record(magic, sizeof(magic));
+  record.reserve(kSealedRecordHeaderBytes + payload.size());
+  AppendU32LE(&record, static_cast<uint32_t>(payload.size()));
+  AppendU32LE(&record, Crc32(payload));
+  record.append(payload);
+  return record;
+}
+
+Result<std::string_view> OpenRecord(const char (&magic)[4],
+                                    std::string_view record,
+                                    std::string_view what) {
+  auto corrupt = [&](const std::string& detail) {
+    return Status::DataLoss(std::string(what) + " record " + detail);
+  };
+  if (record.size() < kSealedRecordHeaderBytes) {
+    return corrupt("truncated before the header (" +
+                   std::to_string(record.size()) + " bytes)");
+  }
+  if (record.substr(0, sizeof(magic)) !=
+      std::string_view(magic, sizeof(magic))) {
+    return corrupt("has no " + std::string(magic, sizeof(magic)) + " magic");
+  }
+  const uint32_t payload_len = ReadU32LE(record.data() + 4);
+  const uint32_t crc = ReadU32LE(record.data() + 8);
+  std::string_view payload = record.substr(kSealedRecordHeaderBytes);
+  if (payload.size() != payload_len) {
+    return corrupt("length mismatch: header says " +
+                   std::to_string(payload_len) + " payload bytes, " +
+                   std::to_string(payload.size()) + " present");
+  }
+  if (Crc32(payload) != crc) return corrupt("checksum mismatch");
+  return payload;
+}
+
 std::string EncodeSnapshot(const SessionSnapshot& snapshot) {
   std::string payload;
   AppendVarint(&payload, kSnapshotFormatVersion);
@@ -83,36 +98,14 @@ std::string EncodeSnapshot(const SessionSnapshot& snapshot) {
       AppendVarint(&payload, static_cast<uint64_t>(child));
     }
   }
-  std::string record;
-  record.reserve(kSnapshotHeaderBytes + payload.size());
-  record.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendU32(&record, static_cast<uint32_t>(payload.size()));
-  AppendU32(&record, Crc32(payload));
-  record.append(payload);
-  return record;
+  return SealRecord(kSnapshotMagic, payload);
 }
 
 Result<SessionSnapshot> DecodeSnapshot(std::string_view record) {
-  if (record.size() < kSnapshotHeaderBytes) {
-    return Corrupt("truncated before the header (" +
-                   std::to_string(record.size()) + " bytes)");
-  }
-  if (std::memcmp(record.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-      0) {
-    return Corrupt("has no BNS1 magic");
-  }
-  const uint32_t payload_len = ReadU32(record, 4);
-  const uint32_t crc = ReadU32(record, 8);
-  if (record.size() - kSnapshotHeaderBytes != payload_len) {
-    return Corrupt("length mismatch: header says " +
-                   std::to_string(payload_len) + " payload bytes, " +
-                   std::to_string(record.size() - kSnapshotHeaderBytes) +
-                   " present");
-  }
-  std::string_view payload = record.substr(kSnapshotHeaderBytes);
-  if (Crc32(payload) != crc) {
-    return Corrupt("checksum mismatch");
-  }
+  Result<std::string_view> opened =
+      OpenRecord(kSnapshotMagic, record, "snapshot");
+  if (!opened.ok()) return opened.status();
+  const std::string_view payload = opened.ValueOrDie();
 
   size_t pos = 0;
   uint64_t version = 0;
@@ -146,6 +139,7 @@ Result<SessionSnapshot> DecodeSnapshot(std::string_view record) {
     if (cut_size > (payload.size() - pos)) {
       return Corrupt("cut size overrun");
     }
+    if (root > INT32_MAX) return Corrupt("node id out of range");
     rec.root = static_cast<NavNodeId>(root);
     rec.cut.cut_children.reserve(static_cast<size_t>(cut_size));
     for (uint64_t j = 0; j < cut_size; ++j) {
@@ -153,6 +147,7 @@ Result<SessionSnapshot> DecodeSnapshot(std::string_view record) {
       if (!ReadVarint(payload, &pos, &child)) {
         return Corrupt("payload underrun in edge cut");
       }
+      if (child > INT32_MAX) return Corrupt("node id out of range");
       rec.cut.cut_children.push_back(static_cast<NavNodeId>(child));
     }
     snap.expands.push_back(std::move(rec));

@@ -36,24 +36,36 @@ struct SessionSnapshot {
   std::vector<ExpandRecord> expands;
 };
 
-/// On-disk record layout (all integers little-endian):
+/// On-disk record layout: the sealed-record frame that BNS1 snapshots and
+/// BNA1 artifacts share (SealRecord/OpenRecord; integers little-endian):
 ///
 ///   [0..3]   magic "BNS1"
 ///   [4..7]   u32 payload length
 ///   [8..11]  u32 CRC-32 (IEEE) of the payload
-///   [12.. ]  payload: varint-encoded fields, version first
+///   [12.. ]  payload: canonical varint-encoded fields, version first
 ///
 /// Decode rejects anything it cannot trust — short header, bad magic,
 /// length disagreeing with the bytes present, checksum mismatch, payload
-/// that underruns or overruns its fields — with StatusCode::kDataLoss, and
-/// an unknown payload version with kInvalidArgument. It never crashes on
-/// arbitrary bytes (the truncation-sweep test feeds it every prefix).
+/// that underruns or overruns its fields, overlong varints, node ids past
+/// int32 — with StatusCode::kDataLoss, and an unknown payload version with
+/// kInvalidArgument. It never crashes on arbitrary bytes, and a record it
+/// accepts re-encodes to the same bytes.
 inline constexpr char kSnapshotMagic[4] = {'B', 'N', 'S', '1'};
 inline constexpr uint64_t kSnapshotFormatVersion = 1;
-inline constexpr size_t kSnapshotHeaderBytes = 12;
+inline constexpr size_t kSealedRecordHeaderBytes = 12;
 
 /// CRC-32 (IEEE 802.3, reflected) of `data`.
 uint32_t Crc32(std::string_view data);
+
+/// Frames `payload` under `magic` with its length and CRC-32.
+std::string SealRecord(const char (&magic)[4], std::string_view payload);
+
+/// The payload of a sealed record (a view into `record`), or kDataLoss
+/// "<what> record ..." when the header is short, the magic differs, the
+/// length disagrees with the bytes present, or the checksum fails.
+Result<std::string_view> OpenRecord(const char (&magic)[4],
+                                    std::string_view record,
+                                    std::string_view what);
 
 /// Serializes a snapshot into a framed, checksummed record.
 std::string EncodeSnapshot(const SessionSnapshot& snapshot);

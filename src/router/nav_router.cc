@@ -50,11 +50,7 @@ void AppendWireFrame(std::string* out, WireProto proto,
                      std::string_view payload) {
   if (proto == WireProto::kBinary) {
     out->push_back(static_cast<char>(kBinaryFrameMagic));
-    uint32_t len = static_cast<uint32_t>(payload.size());
-    out->push_back(static_cast<char>(len & 0xFF));
-    out->push_back(static_cast<char>((len >> 8) & 0xFF));
-    out->push_back(static_cast<char>((len >> 16) & 0xFF));
-    out->push_back(static_cast<char>((len >> 24) & 0xFF));
+    AppendU32LE(out, static_cast<uint32_t>(payload.size()));
     out->append(payload.data(), payload.size());
     return;
   }
@@ -174,16 +170,11 @@ Status NavRouter::Start() {
 
 void NavRouter::RouteFrame(const ConnPtr& conn, uint64_t seq,
                            const std::string& payload) {
-  Request owned;  // Backing storage for the JSON parse path.
+  Request storage;  // Owns the decoded strings on the JSON path.
   RequestView view;
   std::string error_message;
-  WireError parse_error;
-  if (conn->proto == WireProto::kBinary) {
-    parse_error = ParseRequestBinary(payload, &view, &error_message);
-  } else {
-    parse_error = ParseRequest(payload, &owned, &error_message);
-    if (parse_error == WireError::kNone) view = MakeRequestView(owned);
-  }
+  WireError parse_error =
+      DecodeRequest(conn->proto, payload, &storage, &view, &error_message);
   if (parse_error != WireError::kNone) {
     // The router rejects unparsable frames itself — a typed error without
     // a backend round trip, and no garbage ever reaches a shard.
@@ -775,7 +766,9 @@ void NavRouter::StartProbe(size_t backend_index) {
   probe->backend_index = backend_index;
   probe->fd = fd;
   probe->connecting = connecting;
-  probe->outbox = "{\"v\":1,\"op\":\"STATS\"}\n";
+  Request stats;
+  stats.op = RequestOp::kStats;
+  probe->outbox = EncodeRequestFrame(WireProto::kJson, stats);
   Status added = frontend_.loop(0)->Add(
       fd, EventLoop::kReadable | EventLoop::kWritable,
       [this, probe](uint32_t events) { OnProbeEvent(probe, events); });

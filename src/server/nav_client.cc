@@ -66,6 +66,17 @@ Status ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t addrlen,
   return status;
 }
 
+/// Appends the node ids of a response's id array; false when the array is
+/// absent or holds a non-number.
+bool ReadNodeIds(const JsonValue* array, std::vector<NavNodeId>* out) {
+  if (array == nullptr || !array->is_array()) return false;
+  for (const JsonValue& item : array->array_items()) {
+    if (!item.is_number()) return false;
+    out->push_back(static_cast<NavNodeId>(item.number_value()));
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<NavClient>> NavClient::Connect(
@@ -145,13 +156,8 @@ NavClient::~NavClient() {
 }
 
 Status NavClient::Send(const Request& request) {
-  std::string frame;
-  if (proto_ == WireProto::kBinary && !json_fallback_) {
-    frame = SerializeRequestBinary(request);
-  } else {
-    frame = SerializeRequest(request);
-    frame.push_back('\n');
-  }
+  const std::string frame = EncodeRequestFrame(
+      json_fallback_ ? WireProto::kJson : proto_, request);
   size_t sent = 0;
   while (sent < frame.size()) {
     ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
@@ -290,17 +296,9 @@ Result<std::vector<NavNodeId>> NavClient::Expand(const std::string& token,
   request.node = node;
   Result<JsonValue> response = Call(request);
   if (!response.ok()) return response.status();
-  const JsonValue* revealed = response.ValueOrDie().Find("revealed");
-  if (revealed == nullptr || !revealed->is_array()) {
-    return Status::Internal("EXPAND response carries no revealed array");
-  }
   std::vector<NavNodeId> ids;
-  ids.reserve(revealed->array_items().size());
-  for (const JsonValue& item : revealed->array_items()) {
-    if (!item.is_number()) {
-      return Status::Internal("non-numeric node id in revealed array");
-    }
-    ids.push_back(static_cast<NavNodeId>(item.number_value()));
+  if (!ReadNodeIds(response.ValueOrDie().Find("revealed"), &ids)) {
+    return Status::Internal("EXPAND response carries no revealed id array");
   }
   return ids;
 }
@@ -316,16 +314,9 @@ Result<NavClient::BatchExpandReply> NavClient::ExpandMany(
   const JsonValue& doc = response.ValueOrDie();
   BatchExpandReply reply;
   reply.expanded = static_cast<uint64_t>(doc.IntOr("expanded", 0));
-  const JsonValue* revealed = doc.Find("revealed");
-  if (revealed == nullptr || !revealed->is_array()) {
-    return Status::Internal("BATCH_EXPAND response carries no revealed array");
-  }
-  reply.revealed.reserve(revealed->array_items().size());
-  for (const JsonValue& item : revealed->array_items()) {
-    if (!item.is_number()) {
-      return Status::Internal("non-numeric node id in revealed array");
-    }
-    reply.revealed.push_back(static_cast<NavNodeId>(item.number_value()));
+  if (!ReadNodeIds(doc.Find("revealed"), &reply.revealed)) {
+    return Status::Internal(
+        "BATCH_EXPAND response carries no revealed id array");
   }
   const JsonValue* results = doc.Find("results");
   if (results == nullptr || !results->is_array()) {
@@ -341,13 +332,8 @@ Result<NavClient::BatchExpandReply> NavClient::ExpandMany(
     outcome.ok = item.BoolOr("ok", false);
     if (outcome.ok) {
       const JsonValue* ids = item.Find("revealed");
-      if (ids != nullptr && ids->is_array()) {
-        for (const JsonValue& id : ids->array_items()) {
-          if (!id.is_number()) {
-            return Status::Internal("non-numeric node id in outcome");
-          }
-          outcome.revealed.push_back(static_cast<NavNodeId>(id.number_value()));
-        }
+      if (ids != nullptr && !ReadNodeIds(ids, &outcome.revealed)) {
+        return Status::Internal("non-numeric node id in outcome");
       }
     } else {
       outcome.error = item.StringOr("error", "");

@@ -32,38 +32,20 @@ LatencyHistogram* ReadToDispatchHistogram() {
   return hist;
 }
 
-/// Request latency by wire op — the serving-side counterpart of the
-/// client-observed numbers bench_serving reports. Registered once per op.
+/// Request latency by wire op ("bionav_server_op_expand_us") — the
+/// serving-side counterpart of the client-observed numbers bench_serving
+/// reports. Registered once per op.
 LatencyHistogram* OpLatencyHistogram(RequestOp op) {
-  static LatencyHistogram* hists[] = {
-      GlobalMetrics().GetHistogram("bionav_server_op_query_us",
-                                   "QUERY request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_expand_us",
-                                   "EXPAND request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_showresults_us",
-                                   "SHOWRESULTS request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_backtrack_us",
-                                   "BACKTRACK request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_find_us",
-                                   "FIND request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_view_us",
-                                   "VIEW request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_close_us",
-                                   "CLOSE request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_stats_us",
-                                   "STATS request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_metrics_us",
-                                   "METRICS request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_batch_expand_us",
-                                   "BATCH_EXPAND request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_fetch_artifact_us",
-                                   "FETCH_ARTIFACT request latency"),
-      GlobalMetrics().GetHistogram("bionav_server_op_topology_us",
-                                   "TOPOLOGY request latency"),
-  };
-  static_assert(sizeof(hists) / sizeof(hists[0]) ==
-                    static_cast<size_t>(RequestOp::kTopology) + 1,
-                "one histogram per wire op");
+  static const std::vector<LatencyHistogram*> hists = [] {
+    std::vector<LatencyHistogram*> out;
+    for (int i = 0; i < kNumRequestOps; ++i) {
+      const std::string name = RequestOpName(static_cast<RequestOp>(i));
+      out.push_back(GlobalMetrics().GetHistogram(
+          "bionav_server_op_" + ToLower(name) + "_us",
+          name + " request latency"));
+    }
+    return out;
+  }();
   return hists[static_cast<size_t>(op)];
 }
 
@@ -142,25 +124,18 @@ void NavServer::Dispatch(const ConnPtr& conn, uint64_t seq,
   // dominate the latency of the warm interactive case the cache exists
   // to serve. With a backlog the parse itself moves to the pool.
   if (no_backlog) {
-    Request request;  // Owned storage for the JSON parse path.
+    Request storage;  // Owns the decoded strings on the JSON path.
     RequestView view;
     std::string error_message;
-    WireError parse_error;
-    if (proto == WireProto::kBinary) {
-      parse_error = ParseRequestBinary(payload, &view, &error_message);
-    } else {
-      parse_error = ParseRequest(payload, &request, &error_message);
-      if (parse_error == WireError::kNone) view = MakeRequestView(request);
-    }
-    if (parse_error != WireError::kNone) {
+    WireError parse_error =
+        DecodeRequest(proto, payload, &storage, &view, &error_message);
+    if (parse_error != WireError::kNone || FastPathEligible(view)) {
       ReadToDispatchHistogram()->Record(0);
-      frontend_.Complete(conn, seq,
-                         HandleParseError(proto, parse_error, error_message));
-      return;
-    }
-    if (FastPathEligible(view)) {
-      ReadToDispatchHistogram()->Record(0);
-      frontend_.Complete(conn, seq, HandleRequest(view, proto));
+      frontend_.Complete(
+          conn, seq,
+          parse_error != WireError::kNone
+              ? HandleParseError(proto, parse_error, error_message)
+              : HandleRequest(view, proto));
       return;
     }
   }
@@ -188,24 +163,17 @@ bool NavServer::FastPathEligible(const RequestView& request) const {
 }
 
 WireFrame NavServer::HandleFrame(WireProto proto, const std::string& payload) {
-  if (proto == WireProto::kBinary) {
-    // Arena decode: the view's string fields point into `payload`, which
-    // outlives the whole handler call.
-    RequestView view;
-    std::string error_message;
-    WireError error = ParseRequestBinary(payload, &view, &error_message);
-    if (error != WireError::kNone) {
-      return HandleParseError(proto, error, error_message);
-    }
-    return HandleRequest(view, proto);
-  }
-  Request request;
+  // Arena decode: a binary view's string fields point into `payload`,
+  // which outlives the whole handler call.
+  Request storage;
+  RequestView view;
   std::string error_message;
-  WireError error = ParseRequest(payload, &request, &error_message);
+  WireError error =
+      DecodeRequest(proto, payload, &storage, &view, &error_message);
   if (error != WireError::kNone) {
     return HandleParseError(proto, error, error_message);
   }
-  return HandleRequest(MakeRequestView(request), proto);
+  return HandleRequest(view, proto);
 }
 
 WireFrame NavServer::HandleParseError(WireProto proto, WireError error,

@@ -1,9 +1,12 @@
 #include "server/protocol.h"
 
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "core/json_export.h"
 
@@ -24,6 +27,12 @@ JsonValue JsonValue::MakeNumber(double n) {
   JsonValue v;
   v.type_ = Type::kNumber;
   v.number_ = n;
+  return v;
+}
+
+JsonValue JsonValue::MakeUInt(uint64_t n) {
+  JsonValue v = MakeNumber(static_cast<double>(n));
+  v.exact_uint_ = n;
   return v;
 }
 
@@ -58,8 +67,11 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 
 int64_t JsonValue::IntOr(std::string_view key, int64_t def) const {
   const JsonValue* v = Find(key);
-  return v != nullptr && v->is_number() ? static_cast<int64_t>(v->number_)
-                                        : def;
+  // The range test keeps the cast defined (1e300 has no int64 value).
+  return v != nullptr && v->is_number() && v->number_ >= -0x1p63 &&
+                 v->number_ < 0x1p63
+             ? static_cast<int64_t>(v->number_)
+             : def;
 }
 
 double JsonValue::NumberOr(std::string_view key, double def) const {
@@ -315,7 +327,15 @@ class JsonParser {
     if (end != token.c_str() + token.size() || !std::isfinite(value)) {
       return Fail("malformed number");
     }
-    *out = JsonValue::MakeNumber(value);
+    // A plain non-negative integer literal also keeps its exact value.
+    uint64_t exact = 0;
+    if (token.find_first_not_of("0123456789") == std::string::npos &&
+        std::from_chars(token.data(), token.data() + token.size(), exact)
+                .ec == std::errc()) {
+      *out = JsonValue::MakeUInt(exact);
+    } else {
+      *out = JsonValue::MakeNumber(value);
+    }
     return Status::OK();
   }
 
@@ -343,7 +363,8 @@ void WriteJsonTo(const JsonValue& value, std::string* out) {
       return;
     case JsonValue::Type::kNumber: {
       double n = value.number_value();
-      if (n == static_cast<double>(static_cast<int64_t>(n))) {
+      if (n >= -0x1p63 && n < 0x1p63 &&
+          n == static_cast<double>(static_cast<int64_t>(n))) {
         out->append(std::to_string(static_cast<int64_t>(n)));
       } else {
         char buffer[32];
@@ -440,59 +461,7 @@ bool LineFrameDecoder::has_frame() const {
          newline - consumed_ <= max_frame_bytes_;
 }
 
-// ---------------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------------
-
-const char* RequestOpName(RequestOp op) {
-  switch (op) {
-    case RequestOp::kQuery: return "QUERY";
-    case RequestOp::kExpand: return "EXPAND";
-    case RequestOp::kShowResults: return "SHOWRESULTS";
-    case RequestOp::kBacktrack: return "BACKTRACK";
-    case RequestOp::kFind: return "FIND";
-    case RequestOp::kView: return "VIEW";
-    case RequestOp::kClose: return "CLOSE";
-    case RequestOp::kStats: return "STATS";
-    case RequestOp::kMetrics: return "METRICS";
-    case RequestOp::kBatchExpand: return "BATCH_EXPAND";
-    case RequestOp::kFetchArtifact: return "FETCH_ARTIFACT";
-    case RequestOp::kTopology: return "TOPOLOGY";
-  }
-  return "UNKNOWN";
-}
-
 namespace {
-
-bool RequestOpFromName(std::string_view name, RequestOp* out) {
-  static constexpr RequestOp kOps[] = {
-      RequestOp::kQuery,         RequestOp::kExpand,
-      RequestOp::kShowResults,   RequestOp::kBacktrack,
-      RequestOp::kFind,          RequestOp::kView,
-      RequestOp::kClose,         RequestOp::kStats,
-      RequestOp::kMetrics,       RequestOp::kBatchExpand,
-      RequestOp::kFetchArtifact, RequestOp::kTopology,
-  };
-  for (RequestOp op : kOps) {
-    if (name == RequestOpName(op)) {
-      *out = op;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool NeedsToken(RequestOp op) {
-  return op != RequestOp::kQuery && op != RequestOp::kStats &&
-         op != RequestOp::kMetrics && op != RequestOp::kFetchArtifact &&
-         op != RequestOp::kTopology;
-}
-
-/// Ops that carry the "query" field: QUERY carries the raw query string,
-/// FETCH_ARTIFACT the normalized artifact key.
-bool CarriesQuery(RequestOp op) {
-  return op == RequestOp::kQuery || op == RequestOp::kFetchArtifact;
-}
 
 void AppendKey(std::string* out, std::string_view key) {
   out->push_back(',');
@@ -502,163 +471,6 @@ void AppendKey(std::string* out, std::string_view key) {
 }
 
 }  // namespace
-
-std::string SerializeRequest(const Request& request) {
-  std::string out = "{\"v\":" + std::to_string(request.version) +
-                    ",\"op\":\"" + RequestOpName(request.op) + "\"";
-  if (CarriesQuery(request.op)) {
-    AppendKey(&out, "query");
-    out += '"' + JsonEscape(request.query) + '"';
-  }
-  if (NeedsToken(request.op)) {
-    AppendKey(&out, "token");
-    out += '"' + JsonEscape(request.token) + '"';
-  }
-  if (request.op == RequestOp::kExpand ||
-      request.op == RequestOp::kShowResults) {
-    AppendKey(&out, "node");
-    out += std::to_string(request.node);
-  }
-  if (request.op == RequestOp::kShowResults) {
-    AppendKey(&out, "retstart");
-    out += std::to_string(request.retstart);
-    AppendKey(&out, "retmax");
-    out += std::to_string(request.retmax);
-  }
-  if (request.op == RequestOp::kBatchExpand) {
-    AppendKey(&out, "nodes");
-    out.push_back('[');
-    for (size_t i = 0; i < request.nodes.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      out += std::to_string(request.nodes[i]);
-    }
-    out.push_back(']');
-  }
-  if (request.op == RequestOp::kFind) {
-    AppendKey(&out, "concept");
-    out += std::to_string(request.concept_id);
-  }
-  if (request.op == RequestOp::kView) {
-    AppendKey(&out, "depth");
-    out += std::to_string(request.depth);
-  }
-  out.push_back('}');
-  return out;
-}
-
-WireError ParseRequest(std::string_view line, Request* out,
-                       std::string* error_message) {
-  Result<JsonValue> parsed = ParseJson(line);
-  if (!parsed.ok()) {
-    *error_message = parsed.status().message();
-    return WireError::kBadRequest;
-  }
-  const JsonValue& doc = parsed.ValueOrDie();
-  if (!doc.is_object()) {
-    *error_message = "request must be a JSON object";
-    return WireError::kBadRequest;
-  }
-  const JsonValue* version = doc.Find("v");
-  if (version == nullptr || !version->is_number()) {
-    // Absent or ill-typed "v" is a version we do not speak, not a malformed
-    // request — the reply tells the peer which version this server wants.
-    *error_message = "missing protocol version field \"v\"; server speaks " +
-                     std::to_string(kProtocolVersion);
-    return WireError::kUnsupportedVersion;
-  }
-  if (static_cast<int>(version->number_value()) != kProtocolVersion) {
-    *error_message = "server speaks protocol version " +
-                     std::to_string(kProtocolVersion);
-    return WireError::kUnsupportedVersion;
-  }
-  const JsonValue* op = doc.Find("op");
-  if (op == nullptr || !op->is_string()) {
-    *error_message = "missing request field \"op\"";
-    return WireError::kBadRequest;
-  }
-  Request request;
-  request.version = kProtocolVersion;
-  if (!RequestOpFromName(op->string_value(), &request.op)) {
-    *error_message = "unknown op '" + op->string_value() + "'";
-    return WireError::kBadRequest;
-  }
-  if (CarriesQuery(request.op)) {
-    const JsonValue* query = doc.Find("query");
-    if (query == nullptr || !query->is_string() ||
-        query->string_value().empty()) {
-      *error_message = std::string(RequestOpName(request.op)) +
-                       " requires a non-empty string field \"query\"";
-      return WireError::kBadRequest;
-    }
-    request.query = query->string_value();
-  }
-  if (NeedsToken(request.op)) {
-    const JsonValue* token = doc.Find("token");
-    if (token == nullptr || !token->is_string() ||
-        token->string_value().empty()) {
-      *error_message = std::string(RequestOpName(request.op)) +
-                       " requires a string field \"token\"";
-      return WireError::kBadRequest;
-    }
-    request.token = token->string_value();
-  }
-  if (request.op == RequestOp::kExpand ||
-      request.op == RequestOp::kShowResults) {
-    const JsonValue* node = doc.Find("node");
-    if (node == nullptr || !node->is_number()) {
-      *error_message = std::string(RequestOpName(request.op)) +
-                       " requires a numeric field \"node\"";
-      return WireError::kBadRequest;
-    }
-    request.node = static_cast<NavNodeId>(node->number_value());
-  }
-  if (request.op == RequestOp::kShowResults) {
-    int64_t retstart = doc.IntOr("retstart", 0);
-    int64_t retmax = doc.IntOr("retmax", 0);
-    if (retstart < 0 || retmax < 0) {
-      *error_message = "retstart/retmax must be non-negative";
-      return WireError::kBadRequest;
-    }
-    request.retstart = static_cast<uint64_t>(retstart);
-    request.retmax = static_cast<uint64_t>(retmax);
-  }
-  if (request.op == RequestOp::kBatchExpand) {
-    const JsonValue* nodes = doc.Find("nodes");
-    if (nodes == nullptr || !nodes->is_array() ||
-        nodes->array_items().empty()) {
-      *error_message =
-          "BATCH_EXPAND requires a non-empty array field \"nodes\"";
-      return WireError::kBadRequest;
-    }
-    if (nodes->array_items().size() > kMaxBatchExpandNodes) {
-      *error_message = "BATCH_EXPAND accepts at most " +
-                       std::to_string(kMaxBatchExpandNodes) + " nodes";
-      return WireError::kBadRequest;
-    }
-    request.nodes.reserve(nodes->array_items().size());
-    for (const JsonValue& item : nodes->array_items()) {
-      if (!item.is_number()) {
-        *error_message = "BATCH_EXPAND \"nodes\" entries must be numeric";
-        return WireError::kBadRequest;
-      }
-      request.nodes.push_back(static_cast<NavNodeId>(item.number_value()));
-    }
-  }
-  if (request.op == RequestOp::kFind) {
-    const JsonValue* concept_field = doc.Find("concept");
-    if (concept_field == nullptr || !concept_field->is_number()) {
-      *error_message = "FIND requires a numeric field \"concept\"";
-      return WireError::kBadRequest;
-    }
-    request.concept_id = static_cast<ConceptId>(concept_field->number_value());
-  }
-  if (request.op == RequestOp::kView) {
-    request.depth = static_cast<int>(doc.IntOr("depth", 100));
-  }
-  *out = request;
-  error_message->clear();
-  return WireError::kNone;
-}
 
 // ---------------------------------------------------------------------------
 // Responses and errors
@@ -805,14 +617,17 @@ bool ReadVarint(std::string_view data, size_t* pos, uint64_t* value) {
     uint8_t byte = static_cast<uint8_t>(data[(*pos)++]);
     result |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
+      // Canonical only: a zero final group is an overlong encoding, and a
+      // tenth byte may carry nothing but bit 63.
+      if ((byte == 0 && shift > 0) || (shift == 63 && byte > 1)) {
+        return false;
+      }
       *value = result;
       return true;
     }
   }
   return false;  // More than 10 continuation bytes: not a valid varint.
 }
-
-namespace {
 
 void AppendU32LE(std::string* out, uint32_t value) {
   out->push_back(static_cast<char>(value & 0xFF));
@@ -827,6 +642,8 @@ uint32_t ReadU32LE(const char* p) {
          static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
          static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
 }
+
+namespace {
 
 /// Self-describing value encodings of a binary field. Unknown field *ids*
 /// are skippable by type; an unknown *type* makes the frame undecodable.
@@ -877,11 +694,11 @@ void AppendFieldIntList(std::string* out, uint8_t id,
 
 /// One decoded field value; which member is live depends on `type`.
 struct FieldValue {
-  uint64_t uval = 0;
-  int64_t ival = 0;
-  bool bval = false;
-  std::string_view bytes;          // kFieldString / kFieldJson
-  std::vector<int64_t> list;       // kFieldIntList
+  uint64_t uval = 0;       // kFieldUVarint; the entry count of kFieldIntList
+  int64_t ival = 0;        // kFieldSVarint
+  bool bval = false;       // kFieldBool
+  std::string_view bytes;  // kFieldString / kFieldJson; kFieldIntList's
+                           // run of zigzag varints (read with NextListEntry)
 };
 
 /// Decodes (and thereby skips) one field value of the given type at `*pos`.
@@ -911,16 +728,14 @@ bool ReadFieldValue(std::string_view body, size_t* pos, uint8_t type,
       return true;
     }
     case kFieldIntList: {
-      uint64_t count = 0;
-      if (!ReadVarint(body, pos, &count)) return false;
-      if (count > body.size() - *pos) return false;  // >= 1 byte per entry
-      out->list.clear();
-      out->list.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t raw = 0;
+      if (!ReadVarint(body, pos, &out->uval)) return false;
+      if (out->uval > body.size() - *pos) return false;  // >= 1 byte each
+      const size_t start = *pos;
+      uint64_t raw = 0;
+      for (uint64_t i = 0; i < out->uval; ++i) {
         if (!ReadVarint(body, pos, &raw)) return false;
-        out->list.push_back(ZigzagDecode(raw));
       }
+      out->bytes = body.substr(start, *pos - start);
       return true;
     }
     default:
@@ -928,18 +743,12 @@ bool ReadFieldValue(std::string_view body, size_t* pos, uint8_t type,
   }
 }
 
-/// Binary request field ids (private to the request codec; response fields
-/// use the public WireField registry).
-enum ReqField : uint8_t {
-  kReqToken = 1,
-  kReqQuery = 2,
-  kReqNode = 3,
-  kReqConcept = 4,
-  kReqRetstart = 5,
-  kReqRetmax = 6,
-  kReqDepth = 7,
-  kReqNodes = 8,
-};
+/// The next entry of a kFieldIntList run that ReadFieldValue validated.
+int64_t NextListEntry(std::string_view run, size_t* at) {
+  uint64_t raw = 0;
+  ReadVarint(run, at, &raw);
+  return ZigzagDecode(raw);
+}
 
 /// Error responses carry this op byte (JSON errors carry no "op" member).
 constexpr uint8_t kBinaryOpError = 0xFF;
@@ -1008,9 +817,258 @@ bool BinaryFrameDecoder::Next(std::string* body) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary requests
+// Requests: one schema, two encodings
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Request fields in schema order, the order both encoders write them.
+enum FieldSlot : int {
+  kSlotQuery,
+  kSlotToken,
+  kSlotNode,
+  kSlotRetstart,
+  kSlotRetmax,
+  kSlotNodes,
+  kSlotConcept,
+  kSlotDepth,
+  kNumFieldSlots,
+};
+
+using FieldSet = uint16_t;
+constexpr FieldSet Bit(int slot) { return static_cast<FieldSet>(1u << slot); }
+
+struct FieldSpec {
+  uint8_t id;         // binary field id
+  const char* key;    // JSON member name
+  uint8_t type;       // binary value type; kFieldSVarint fields are int32,
+                      // kFieldUVarint uint64, kFieldIntList int32 entries
+  const char* shape;  // "<OP> requires a <shape> field" when missing
+};
+
+constexpr FieldSpec kFieldSpecs[kNumFieldSlots] = {
+    {2, "query", kFieldString, "non-empty string"},
+    {1, "token", kFieldString, "string"},
+    {3, "node", kFieldSVarint, "numeric"},
+    {5, "retstart", kFieldUVarint, "numeric"},
+    {6, "retmax", kFieldUVarint, "numeric"},
+    {8, "nodes", kFieldIntList, "non-empty array"},
+    {4, "concept", kFieldSVarint, "numeric"},
+    {7, "depth", kFieldSVarint, "numeric"},
+};
+
+/// Schema slot of a binary field id; -1 for ids this build ignores.
+int SlotOfId(uint8_t id) {
+  static constexpr auto kSlots = [] {
+    std::array<int8_t, 256> slots{};
+    for (int8_t& slot : slots) slot = -1;
+    for (int slot = 0; slot < kNumFieldSlots; ++slot) {
+      slots[kFieldSpecs[slot].id] = static_cast<int8_t>(slot);
+    }
+    return slots;
+  }();
+  return kSlots[id];
+}
+
+struct OpSpec {
+  const char* name;   // wire name
+  FieldSet required;  // must be present; a string or list also non-empty
+  FieldSet optional;  // when absent the member keeps its default
+  FieldSet carries() const { return required | optional; }
+};
+
+constexpr FieldSet kQueryField = Bit(kSlotQuery);
+constexpr FieldSet kTokenField = Bit(kSlotToken);
+
+/// Indexed by RequestOp. Fields an op does not carry are ignored on decode
+/// and never written on encode.
+constexpr OpSpec kOpSpecs[] = {
+    {"QUERY", kQueryField, 0},
+    {"EXPAND", kTokenField | Bit(kSlotNode), 0},
+    {"SHOWRESULTS", kTokenField | Bit(kSlotNode),
+     Bit(kSlotRetstart) | Bit(kSlotRetmax)},
+    {"BACKTRACK", kTokenField, 0},
+    {"FIND", kTokenField | Bit(kSlotConcept), 0},
+    {"VIEW", kTokenField, Bit(kSlotDepth)},
+    {"CLOSE", kTokenField, 0},
+    {"STATS", 0, 0},
+    {"METRICS", 0, 0},
+    {"BATCH_EXPAND", kTokenField | Bit(kSlotNodes), 0},
+    {"FETCH_ARTIFACT", kQueryField, 0},
+    {"TOPOLOGY", 0, 0},
+};
+static_assert(static_cast<int>(std::size(kOpSpecs)) == kNumRequestOps,
+              "one OpSpec per RequestOp");
+
+const OpSpec& OpSpecOf(RequestOp op) {
+  static constexpr OpSpec kUnknown = {"UNKNOWN", 0, 0};
+  const int index = static_cast<int>(op);
+  return index >= 0 && index < kNumRequestOps ? kOpSpecs[index] : kUnknown;
+}
+
+// One request field in either encoding; the member's C++ type picks the
+// value encoding (and matches the field's binary type).
+void AppendField(WireProto proto, const FieldSpec& field,
+                 const std::string& text, std::string* out) {
+  if (proto == WireProto::kBinary) {
+    return AppendFieldBytes(out, field.id, kFieldString, text);
+  }
+  AppendKey(out, field.key);
+  out->append('"' + JsonEscape(text) + '"');
+}
+
+void AppendField(WireProto proto, const FieldSpec& field, int32_t value,
+                 std::string* out) {
+  if (proto == WireProto::kBinary) return AppendFieldInt(out, field.id, value);
+  AppendKey(out, field.key);
+  out->append(std::to_string(value));
+}
+
+void AppendField(WireProto proto, const FieldSpec& field, uint64_t value,
+                 std::string* out) {
+  if (proto == WireProto::kBinary) return AppendFieldUInt(out, field.id, value);
+  AppendKey(out, field.key);
+  out->append(std::to_string(value));
+}
+
+void AppendField(WireProto proto, const FieldSpec& field,
+                 const std::vector<NavNodeId>& list, std::string* out) {
+  if (proto == WireProto::kBinary) {
+    return AppendFieldIntList(out, field.id, list);
+  }
+  AppendKey(out, field.key);
+  out->push_back('[');
+  for (size_t i = 0; i < list.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    out->append(std::to_string(list[i]));
+  }
+  out->push_back(']');
+}
+
+/// Appends the fields `request.op` carries, in schema order.
+void AppendRequestFields(WireProto proto, const Request& request,
+                         std::string* out) {
+  const FieldSet carried = OpSpecOf(request.op).carries();
+  auto field = [&](FieldSlot slot, const auto& member) {
+    if ((carried & Bit(slot)) != 0) {
+      AppendField(proto, kFieldSpecs[slot], member, out);
+    }
+  };
+  field(kSlotQuery, request.query);
+  field(kSlotToken, request.token);
+  field(kSlotNode, request.node);
+  field(kSlotRetstart, request.retstart);
+  field(kSlotRetmax, request.retmax);
+  field(kSlotNodes, request.nodes);
+  field(kSlotConcept, request.concept_id);
+  field(kSlotDepth, request.depth);
+}
+
+/// An integer as either decoder read it, before the store step checks it
+/// against its member's C++ type. Binary varints are exact; so is a JSON
+/// number that is integral and below 2^64 in magnitude (an integer literal
+/// past 2^53 through JsonValue::exact_uint).
+struct WireInt {
+  bool integral = false;  // False for fractions, huge values, non-numbers.
+  bool negative = false;
+  uint64_t magnitude = 0;
+
+  static WireInt Signed(int64_t v) {
+    const uint64_t bits = static_cast<uint64_t>(v);
+    return {true, v < 0, v < 0 ? 0 - bits : bits};
+  }
+  static WireInt FromJson(const JsonValue& v) {
+    if (!v.is_number()) return {};
+    if (v.exact_uint()) return {true, false, *v.exact_uint()};
+    const double d = v.number_value();
+    if (d != std::trunc(d) || !(std::fabs(d) < 0x1p64)) return {};
+    return {true, d < 0, static_cast<uint64_t>(std::fabs(d))};
+  }
+  bool FitsInt32() const {
+    return integral && magnitude <= (negative ? 1u << 31 : INT32_MAX);
+  }
+  int32_t AsInt32() const {
+    return static_cast<int32_t>(negative ? -static_cast<int64_t>(magnitude)
+                                         : static_cast<int64_t>(magnitude));
+  }
+};
+
+// The store and validation steps both decoders share. `R` is Request (the
+// JSON decoder owns its strings) or RequestView (binary strings view the
+// frame); the two have the same members.
+template <typename R>
+void StoreText(int slot, std::string_view text, R* r) {
+  (slot == kSlotQuery ? r->query : r->token) = text;
+}
+
+/// Starts a `nodes` list of `count` entries (a repeated field replaces the
+/// earlier list); more than kMaxBatchExpandNodes is BAD_REQUEST.
+template <typename R>
+WireError BeginList(uint64_t count, R* r, std::string* error_message) {
+  if (count > kMaxBatchExpandNodes) {
+    *error_message = std::string(RequestOpName(r->op)) + " accepts at most " +
+                     std::to_string(kMaxBatchExpandNodes) + " nodes";
+    return WireError::kBadRequest;
+  }
+  r->nodes.clear();
+  r->nodes.reserve(count);
+  return WireError::kNone;
+}
+
+/// BAD_REQUEST naming the field of a rejected integer; out of line so the
+/// store step's accepting path stays small.
+[[gnu::noinline]] WireError IntegerError(RequestOp op, int slot,
+                                         std::string* error_message) {
+  const FieldSpec& field = kFieldSpecs[slot];
+  *error_message = std::string(RequestOpName(op)) + " field \"" + field.key +
+                   "\" takes integers that fit " +
+                   (field.type == kFieldUVarint ? "uint64" : "int32");
+  return WireError::kBadRequest;
+}
+
+/// Stores an integer field, or appends one `nodes` entry. The value must be
+/// integral and fit the member's C++ type (int32; uint64 for retstart and
+/// retmax), otherwise the request is BAD_REQUEST naming the field.
+template <typename R>
+WireError StoreInt(int slot, WireInt value, R* r, std::string* error_message) {
+  const bool fits = kFieldSpecs[slot].type == kFieldUVarint
+                        ? value.integral && !value.negative
+                        : value.FitsInt32();
+  if (!fits) return IntegerError(r->op, slot, error_message);
+  switch (slot) {
+    case kSlotNode: r->node = value.AsInt32(); break;
+    case kSlotConcept: r->concept_id = value.AsInt32(); break;
+    case kSlotDepth: r->depth = value.AsInt32(); break;
+    case kSlotRetstart: r->retstart = value.magnitude; break;
+    case kSlotRetmax: r->retmax = value.magnitude; break;
+    case kSlotNodes: r->nodes.push_back(value.AsInt32()); break;
+  }
+  return WireError::kNone;
+}
+
+/// Every field the op requires was stored, and a required string or list
+/// is non-empty.
+template <typename R>
+WireError ValidateRequest(const R& r, FieldSet present,
+                          std::string* error_message) {
+  if (r.query.empty()) present &= ~Bit(kSlotQuery);
+  if (r.token.empty()) present &= ~Bit(kSlotToken);
+  if (r.nodes.empty()) present &= ~Bit(kSlotNodes);
+  const OpSpec& op = OpSpecOf(r.op);
+  const FieldSet missing = op.required & ~present;
+  if (missing == 0) {
+    error_message->clear();
+    return WireError::kNone;
+  }
+  int slot = 0;  // The first missing field in schema order.
+  while ((missing & Bit(slot)) == 0) ++slot;
+  *error_message = std::string(op.name) + " requires a " +
+                   kFieldSpecs[slot].shape + " field \"" +
+                   kFieldSpecs[slot].key + "\"";
+  return WireError::kBadRequest;
+}
+
+/// A view over an owned Request (the JSON decode path).
 RequestView MakeRequestView(const Request& request) {
   RequestView view;
   view.version = request.version;
@@ -1026,34 +1084,109 @@ RequestView MakeRequestView(const Request& request) {
   return view;
 }
 
+}  // namespace
+
+const char* RequestOpName(RequestOp op) { return OpSpecOf(op).name; }
+
+std::string SerializeRequest(const Request& request) {
+  std::string out = "{\"v\":" + std::to_string(request.version) +
+                    ",\"op\":\"" + RequestOpName(request.op) + "\"";
+  AppendRequestFields(WireProto::kJson, request, &out);
+  out.push_back('}');
+  return out;
+}
+
 std::string SerializeRequestBinary(const Request& request) {
   std::string body;
   body.push_back(static_cast<char>(kBinaryProtocolVersion));
   body.push_back(static_cast<char>(request.op));
-  if (CarriesQuery(request.op)) {
-    AppendFieldBytes(&body, kReqQuery, kFieldString, request.query);
-  }
-  if (NeedsToken(request.op)) {
-    AppendFieldBytes(&body, kReqToken, kFieldString, request.token);
-  }
-  if (request.op == RequestOp::kExpand ||
-      request.op == RequestOp::kShowResults) {
-    AppendFieldInt(&body, kReqNode, static_cast<int64_t>(request.node));
-  }
-  if (request.op == RequestOp::kShowResults) {
-    AppendFieldUInt(&body, kReqRetstart, request.retstart);
-    AppendFieldUInt(&body, kReqRetmax, request.retmax);
-  }
-  if (request.op == RequestOp::kBatchExpand) {
-    AppendFieldIntList(&body, kReqNodes, request.nodes);
-  }
-  if (request.op == RequestOp::kFind) {
-    AppendFieldInt(&body, kReqConcept, static_cast<int64_t>(request.concept_id));
-  }
-  if (request.op == RequestOp::kView) {
-    AppendFieldInt(&body, kReqDepth, request.depth);
-  }
+  AppendRequestFields(WireProto::kBinary, request, &body);
   return FinishBinaryFrame(std::move(body));
+}
+
+std::string EncodeRequestFrame(WireProto proto, const Request& request) {
+  if (proto == WireProto::kBinary) return SerializeRequestBinary(request);
+  return SerializeRequest(request) + '\n';
+}
+
+WireError ParseRequest(std::string_view line, Request* out,
+                       std::string* error_message) {
+  Result<JsonValue> parsed = ParseJson(line);
+  if (!parsed.ok()) {
+    *error_message = parsed.status().message();
+    return WireError::kBadRequest;
+  }
+  const JsonValue& doc = parsed.ValueOrDie();
+  if (!doc.is_object()) {
+    *error_message = "request must be a JSON object";
+    return WireError::kBadRequest;
+  }
+  const JsonValue* version = doc.Find("v");
+  if (version == nullptr || !version->is_number()) {
+    // Absent or ill-typed "v" is a version we do not speak, not a malformed
+    // request — the reply tells the peer which version this server wants.
+    *error_message = "missing protocol version field \"v\"; server speaks " +
+                     std::to_string(kProtocolVersion);
+    return WireError::kUnsupportedVersion;
+  }
+  if (version->number_value() != kProtocolVersion) {
+    *error_message = "server speaks protocol version " +
+                     std::to_string(kProtocolVersion);
+    return WireError::kUnsupportedVersion;
+  }
+  const JsonValue* op = doc.Find("op");
+  if (op == nullptr || !op->is_string()) {
+    *error_message = "missing request field \"op\"";
+    return WireError::kBadRequest;
+  }
+  int op_index = 0;
+  while (op_index < kNumRequestOps &&
+         op->string_value() != kOpSpecs[op_index].name) {
+    ++op_index;
+  }
+  if (op_index == kNumRequestOps) {
+    *error_message = "unknown op '" + op->string_value() + "'";
+    return WireError::kBadRequest;
+  }
+  Request request;
+  request.op = static_cast<RequestOp>(op_index);
+  const FieldSet carried = kOpSpecs[op_index].carries();
+  FieldSet present = 0;
+  for (int slot = 0; slot < kNumFieldSlots; ++slot) {
+    const FieldSpec& field = kFieldSpecs[slot];
+    const JsonValue* member =
+        (carried & Bit(slot)) != 0 ? doc.Find(field.key) : nullptr;
+    if (member == nullptr) continue;
+    // A member of the wrong JSON type counts as absent.
+    WireError stored = WireError::kNone;
+    switch (field.type) {
+      case kFieldString:
+        if (!member->is_string()) continue;
+        StoreText(slot, member->string_value(), &request);
+        break;
+      case kFieldIntList:
+        if (!member->is_array()) continue;
+        stored = BeginList(member->array_items().size(), &request,
+                           error_message);
+        for (const JsonValue& item : member->array_items()) {
+          if (stored != WireError::kNone) break;
+          stored = StoreInt(slot, WireInt::FromJson(item), &request,
+                            error_message);
+        }
+        break;
+      default:  // kFieldSVarint / kFieldUVarint
+        if (!member->is_number()) continue;
+        stored = StoreInt(slot, WireInt::FromJson(*member), &request,
+                          error_message);
+        break;
+    }
+    if (stored != WireError::kNone) return stored;
+    present |= Bit(slot);
+  }
+  WireError invalid = ValidateRequest(request, present, error_message);
+  if (invalid != WireError::kNone) return invalid;
+  *out = std::move(request);
+  return WireError::kNone;
 }
 
 WireError ParseRequestBinary(std::string_view body, RequestView* out,
@@ -1069,15 +1202,15 @@ WireError ParseRequestBinary(std::string_view body, RequestView* out,
     return WireError::kUnsupportedVersion;
   }
   uint8_t op_byte = static_cast<uint8_t>(body[1]);
-  if (op_byte > static_cast<uint8_t>(RequestOp::kTopology)) {
+  if (op_byte >= kNumRequestOps) {
     *error_message = "unknown op byte " + std::to_string(op_byte);
     return WireError::kBadRequest;
   }
   RequestView view;
   view.version = version;
   view.op = static_cast<RequestOp>(op_byte);
-  bool has_node = false;
-  bool has_concept = false;
+  const FieldSet carried = kOpSpecs[op_byte].carries();
+  FieldSet present = 0;
   size_t pos = 2;
   while (pos < body.size()) {
     if (pos + 2 > body.size()) {
@@ -1092,85 +1225,56 @@ WireError ParseRequestBinary(std::string_view body, RequestView* out,
       *error_message = "malformed field " + std::to_string(id);
       return WireError::kBadRequest;
     }
-    // A known id with an unexpected type counts as absent (the per-op
-    // required-field validation below reports it), matching the JSON
-    // parser's treatment of ill-typed members.
-    switch (id) {
-      case kReqToken:
-        if (type == kFieldString) view.token = value.bytes;
+    // Unknown ids, fields the op does not carry and known ids of another
+    // type count as absent: skipped by their self-describing type.
+    const int slot = SlotOfId(id);
+    if (slot < 0 || (carried & Bit(slot)) == 0 ||
+        type != kFieldSpecs[slot].type) {
+      continue;
+    }
+    WireError stored = WireError::kNone;
+    switch (type) {
+      case kFieldString:
+        StoreText(slot, value.bytes, &view);
         break;
-      case kReqQuery:
-        if (type == kFieldString) view.query = value.bytes;
+      case kFieldSVarint:
+        stored = StoreInt(slot, WireInt::Signed(value.ival), &view,
+                          error_message);
         break;
-      case kReqNode:
-        if (type == kFieldSVarint) {
-          view.node = static_cast<NavNodeId>(value.ival);
-          has_node = true;
+      case kFieldUVarint:
+        stored = StoreInt(slot, WireInt{true, false, value.uval}, &view,
+                          error_message);
+        break;
+      case kFieldIntList: {
+        stored = BeginList(value.uval, &view, error_message);
+        size_t at = 0;
+        for (uint64_t i = 0; i < value.uval && stored == WireError::kNone;
+             ++i) {
+          stored = StoreInt(slot,
+                            WireInt::Signed(NextListEntry(value.bytes, &at)),
+                            &view, error_message);
         }
         break;
-      case kReqConcept:
-        if (type == kFieldSVarint) {
-          view.concept_id = static_cast<ConceptId>(value.ival);
-          has_concept = true;
-        }
-        break;
-      case kReqRetstart:
-        if (type == kFieldUVarint) view.retstart = value.uval;
-        break;
-      case kReqRetmax:
-        if (type == kFieldUVarint) view.retmax = value.uval;
-        break;
-      case kReqDepth:
-        if (type == kFieldSVarint) view.depth = static_cast<int>(value.ival);
-        break;
-      case kReqNodes:
-        if (type == kFieldIntList) {
-          view.nodes.clear();
-          view.nodes.reserve(value.list.size());
-          for (int64_t v : value.list) {
-            view.nodes.push_back(static_cast<NavNodeId>(v));
-          }
-        }
-        break;
-      default:
-        break;  // Unknown field: skipped by its self-describing type.
+      }
     }
+    if (stored != WireError::kNone) return stored;
+    present |= Bit(slot);
   }
-  if (CarriesQuery(view.op) && view.query.empty()) {
-    *error_message = std::string(RequestOpName(view.op)) +
-                     " requires a non-empty string field \"query\"";
-    return WireError::kBadRequest;
-  }
-  if (NeedsToken(view.op) && view.token.empty()) {
-    *error_message = std::string(RequestOpName(view.op)) +
-                     " requires a string field \"token\"";
-    return WireError::kBadRequest;
-  }
-  if ((view.op == RequestOp::kExpand || view.op == RequestOp::kShowResults) &&
-      !has_node) {
-    *error_message = std::string(RequestOpName(view.op)) +
-                     " requires a numeric field \"node\"";
-    return WireError::kBadRequest;
-  }
-  if (view.op == RequestOp::kFind && !has_concept) {
-    *error_message = "FIND requires a numeric field \"concept\"";
-    return WireError::kBadRequest;
-  }
-  if (view.op == RequestOp::kBatchExpand) {
-    if (view.nodes.empty()) {
-      *error_message =
-          "BATCH_EXPAND requires a non-empty array field \"nodes\"";
-      return WireError::kBadRequest;
-    }
-    if (view.nodes.size() > kMaxBatchExpandNodes) {
-      *error_message = "BATCH_EXPAND accepts at most " +
-                       std::to_string(kMaxBatchExpandNodes) + " nodes";
-      return WireError::kBadRequest;
-    }
-  }
-  *out = view;
-  error_message->clear();
+  WireError invalid = ValidateRequest(view, present, error_message);
+  if (invalid != WireError::kNone) return invalid;
+  *out = std::move(view);
   return WireError::kNone;
+}
+
+WireError DecodeRequest(WireProto proto, std::string_view payload,
+                        Request* storage, RequestView* out,
+                        std::string* error_message) {
+  if (proto == WireProto::kBinary) {
+    return ParseRequestBinary(payload, out, error_message);
+  }
+  WireError error = ParseRequest(payload, storage, error_message);
+  if (error == WireError::kNone) *out = MakeRequestView(*storage);
+  return error;
 }
 
 // ---------------------------------------------------------------------------
@@ -1418,7 +1522,7 @@ Result<JsonValue> DecodeBinaryResponse(std::string_view body) {
   members.emplace_back("v", JsonValue::MakeNumber(kBinaryProtocolVersion));
   members.emplace_back("ok", JsonValue::MakeBool(ok));
   // Error frames carry no "op" member, matching the JSON error shape.
-  if (op_byte <= static_cast<uint8_t>(RequestOp::kTopology)) {
+  if (op_byte < kNumRequestOps) {
     members.emplace_back(
         "op", JsonValue::MakeString(
                   RequestOpName(static_cast<RequestOp>(op_byte))));
@@ -1466,9 +1570,11 @@ Result<JsonValue> DecodeBinaryResponse(std::string_view body) {
       }
       case kFieldIntList: {
         JsonValue::Array items;
-        items.reserve(value.list.size());
-        for (int64_t v : value.list) {
-          items.push_back(JsonValue::MakeNumber(static_cast<double>(v)));
+        items.reserve(value.uval);
+        size_t at = 0;
+        for (uint64_t i = 0; i < value.uval; ++i) {
+          items.push_back(JsonValue::MakeNumber(
+              static_cast<double>(NextListEntry(value.bytes, &at))));
         }
         members.emplace_back(name, JsonValue::MakeArray(std::move(items)));
         break;

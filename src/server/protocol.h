@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,6 +40,9 @@ namespace bionav {
 ///   METRICS     {}                                 -> text (Prometheus)
 ///   FETCH_ARTIFACT {"query": "<normalized key>"}   -> artifact (base64)
 ///   TOPOLOGY    {}                                 -> generation, backends
+/// node, concept, depth and each nodes entry must be integers that fit
+/// int32; retstart/retmax (default 0) integers that fit uint64; depth
+/// defaults to 100. Members an op does not carry are ignored.
 /// Responses: {"v": 1, "ok": true, "op": "<OP>", ...} on success, or
 ///   {"v": 1, "ok": false, "error": "<CODE>", "message": "..."} on failure.
 inline constexpr int kProtocolVersion = 1;
@@ -77,8 +81,13 @@ inline constexpr int kNumWireProtos = 2;
 const char* WireProtoName(WireProto proto);
 
 /// LEB128 varint append/read (unsigned) and zigzag for signed fields.
+/// ReadVarint accepts only the shortest encoding, the one AppendVarint
+/// writes (binary v2, BNS1 and BNA1 share this rule).
 void AppendVarint(std::string* out, uint64_t value);
 bool ReadVarint(std::string_view data, size_t* pos, uint64_t* value);
+/// Fixed-width little-endian u32 (frame length prefixes, record headers).
+void AppendU32LE(std::string* out, uint32_t value);
+uint32_t ReadU32LE(const char* p);
 constexpr uint64_t ZigzagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^
          static_cast<uint64_t>(v >> (sizeof(int64_t) * 8 - 1));
@@ -93,8 +102,9 @@ constexpr int64_t ZigzagDecode(uint64_t v) {
 // heavyweight payloads).
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. Numbers are doubles (the protocol's integers are
-/// well below 2^53, so the double round-trip is exact).
+/// A parsed JSON value. Numbers are doubles; an integer literal up to
+/// 2^64-1 also keeps its exact value (exact_uint), so a uint64 request
+/// field survives the JSON encoding past 2^53.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -104,6 +114,8 @@ class JsonValue {
   JsonValue() = default;
   static JsonValue MakeBool(bool b);
   static JsonValue MakeNumber(double n);
+  /// A number that also keeps its exact integer value (see exact_uint).
+  static JsonValue MakeUInt(uint64_t n);
   static JsonValue MakeString(std::string s);
   static JsonValue MakeArray(Array a);
   static JsonValue MakeObject(Object o);
@@ -121,11 +133,15 @@ class JsonValue {
   const std::string& string_value() const { return string_; }
   const Array& array_items() const { return array_; }
   const Object& object_items() const { return object_; }
+  /// Set when the number was parsed from an integer literal (no sign,
+  /// fraction or exponent) that fits uint64.
+  std::optional<uint64_t> exact_uint() const { return exact_uint_; }
 
   /// Object member lookup; nullptr if absent or not an object.
   const JsonValue* Find(std::string_view key) const;
 
-  /// Typed member getters with defaults (absent or wrong-typed -> default).
+  /// Typed member getters with defaults (absent, wrong-typed or, for
+  /// IntOr, outside the int64 range -> default; IntOr truncates fractions).
   int64_t IntOr(std::string_view key, int64_t def) const;
   double NumberOr(std::string_view key, double def) const;
   bool BoolOr(std::string_view key, bool def) const;
@@ -135,6 +151,7 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0;
+  std::optional<uint64_t> exact_uint_;
   std::string string_;
   Array array_;
   Object object_;
@@ -260,6 +277,10 @@ enum class RequestOp {
   kTopology,
 };
 
+/// Number of ops; RequestOp values are dense from 0.
+inline constexpr int kNumRequestOps =
+    static_cast<int>(RequestOp::kTopology) + 1;
+
 /// Wire name of an op ("QUERY", ...).
 const char* RequestOpName(RequestOp op);
 
@@ -285,12 +306,12 @@ struct Request {
 /// Serializes a request as one line (no trailing newline).
 std::string SerializeRequest(const Request& request);
 
-/// Arena-backed request decode: the string fields view the frame body the
-/// reactor popped from its decoder (the frame itself is the arena), so the
-/// binary parse allocates nothing per field. The JSON path adapts an owned
-/// Request via MakeRequestView (escape processing needs owned storage).
-/// Views are only valid while the backing frame buffer is alive — the
-/// server handles a request before popping the next frame.
+/// A decoded request whose string fields view the frame body the reactor
+/// popped from its decoder (the frame itself is the arena), so the binary
+/// parse allocates nothing per field. The JSON path decodes into an owned
+/// Request first (escape processing needs owned storage). Views are only
+/// valid while the backing buffer is alive — the server handles a request
+/// before popping the next frame.
 struct RequestView {
   int version = kProtocolVersion;
   RequestOp op = RequestOp::kStats;
@@ -306,8 +327,9 @@ struct RequestView {
   int depth = 100;
 };
 
-/// A view over an owned Request (JSON parse path).
-RequestView MakeRequestView(const Request& request);
+/// One complete request frame in either encoding: a JSON line with its
+/// '\n', or a binary v2 frame.
+std::string EncodeRequestFrame(WireProto proto, const Request& request);
 
 /// Serializes a request as a complete binary v2 frame (magic + length
 /// prefix + body).
@@ -345,6 +367,14 @@ const char* WireErrorName(WireError error);
 /// otherwise returns the typed error and a human-readable message.
 WireError ParseRequest(std::string_view line, Request* out,
                        std::string* error_message);
+
+/// Decodes one request payload (a JSON line or a binary frame body) into
+/// `*out`. Binary views point into `payload`; JSON views point into
+/// `*storage`, which owns the decoded strings. Both encodings accept the
+/// same logical requests and reject the rest with the same error codes.
+WireError DecodeRequest(WireProto proto, std::string_view payload,
+                        Request* storage, RequestView* out,
+                        std::string* error_message);
 
 /// Builds the one-line error response for a typed error.
 std::string ErrorReply(WireError error, std::string_view message);

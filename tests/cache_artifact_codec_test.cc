@@ -162,14 +162,7 @@ TEST(ArtifactCodecTest, Base64RoundTripMatchesWireTransport) {
 /// Frames `payload` as a BNA1 record with a matching length and CRC-32, so
 /// a mutated payload gets past the checksum to the structural checks.
 std::string Reseal(std::string_view payload) {
-  std::string record(kArtifactMagic, sizeof(kArtifactMagic));
-  for (uint32_t v : {static_cast<uint32_t>(payload.size()), Crc32(payload)}) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      record.push_back(static_cast<char>((v >> shift) & 0xff));
-    }
-  }
-  record.append(payload);
-  return record;
+  return SealRecord(kArtifactMagic, payload);
 }
 
 /// Offsets of the rewritable varint fields of a canonical payload: the
@@ -218,7 +211,7 @@ TEST(ArtifactCodecTest, ResealedMutationFuzzRejectsOrRoundTrips) {
   for (uint64_t seed : {31u, 32u, 33u, 34u}) {
     instances.push_back(std::make_unique<RandomInstance>(seed, 400, 50));
     std::string record = instances.back()->MakeBundle()->Serialize();
-    payloads.push_back(record.substr(kArtifactHeaderBytes));
+    payloads.push_back(record.substr(kSealedRecordHeaderBytes));
     fields.push_back(FieldOffsets(payloads.back()));
   }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -281,7 +282,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
                               "prothymosin", MakeBioNavStrategyFactory());
     ASSERT_GE(ExpandSteps(&session, 3), 1);
     record_ = EncodeSnapshot(SnapshotSession(session, "shard0-s7", 55));
-    ASSERT_GT(record_.size(), kSnapshotHeaderBytes);
+    ASSERT_GT(record_.size(), kSealedRecordHeaderBytes);
     ASSERT_TRUE(DecodeSnapshot(record_).ok());
   }
 
@@ -341,20 +342,136 @@ TEST_F(SnapshotCorruptionTest, LengthLieIsDataLoss) {
 TEST(SnapshotFormatTest, UnknownVersionIsInvalidArgument) {
   // A structurally valid record (magic, length, matching CRC) carrying
   // payload version 99: not corruption — an incompatibility.
-  std::string payload(1, static_cast<char>(99));
-  std::string record(kSnapshotMagic, sizeof(kSnapshotMagic));
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint32_t crc = Crc32(payload);
-  for (uint32_t v : {len, crc}) {
-    record.push_back(static_cast<char>(v & 0xFF));
-    record.push_back(static_cast<char>((v >> 8) & 0xFF));
-    record.push_back(static_cast<char>((v >> 16) & 0xFF));
-    record.push_back(static_cast<char>((v >> 24) & 0xFF));
-  }
-  record += payload;
+  std::string record =
+      SealRecord(kSnapshotMagic, std::string(1, static_cast<char>(99)));
   auto decoded = DecodeSnapshot(record);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Offsets of the rewritable varints of a canonical snapshot payload: the
+/// string lengths, result size, expand count, and every expand's root, cut
+/// size and cut children.
+std::vector<size_t> SnapshotFieldOffsets(std::string_view payload) {
+  std::vector<size_t> offsets;
+  size_t pos = 0;
+  uint64_t v = 0;
+  auto field = [&] {
+    offsets.push_back(pos);
+    BIONAV_CHECK(ReadVarint(payload, &pos, &v));
+    return v;
+  };
+  BIONAV_CHECK(ReadVarint(payload, &pos, &v));  // version
+  for (int s = 0; s < 3; ++s) pos += static_cast<size_t>(field());
+  field();                                      // result_size
+  BIONAV_CHECK(ReadVarint(payload, &pos, &v));  // saved_unix_ms
+  for (uint64_t expands = field(); expands > 0; --expands) {
+    field();
+    for (uint64_t children = field(); children > 0; --children) field();
+  }
+  BIONAV_CHECK_EQ(pos, payload.size());
+  return offsets;
+}
+
+TEST(SnapshotFormatTest, ResealedMutationFuzzRejectsOrRoundTrips) {
+  // Synthetic snapshots: the codec only frames fields, so no session is
+  // needed to exercise it.
+  Rng shapes(0xB5511);
+  std::vector<std::string> payloads;
+  std::vector<std::vector<size_t>> fields;
+  for (int i = 0; i < 4; ++i) {
+    SessionSnapshot snap;
+    snap.token = "shard" + std::to_string(i) + "-s" + std::to_string(7 * i);
+    snap.query = i % 2 == 0 ? "prothymosin" : "breast \"cancer\" \xc3\xa9";
+    snap.strategy_name = "bionav";
+    snap.result_size = 1 + shapes.Uniform(uint64_t{1} << (8 * i + 4));
+    snap.saved_unix_ms = i == 3 ? -55 : 1700000000000 + i;
+    for (uint64_t e = 3 * i; e > 0; --e) {
+      ExpandRecord rec;
+      rec.root = static_cast<NavNodeId>(shapes.Uniform(5000));
+      for (uint64_t c = shapes.Uniform(6); c > 0; --c) {
+        rec.cut.cut_children.push_back(
+            static_cast<NavNodeId>(shapes.Uniform(300000)));
+      }
+      snap.expands.push_back(rec);
+    }
+    std::string record = EncodeSnapshot(snap);
+    payloads.push_back(record.substr(kSealedRecordHeaderBytes));
+    fields.push_back(SnapshotFieldOffsets(payloads.back()));
+  }
+
+  Rng rng(0xB5F022);
+  auto mutate = [&](std::string* p) {
+    const size_t at = p->empty() ? 0 : rng.Uniform(p->size());
+    switch (rng.Uniform(4)) {
+      case 0:  // bit flip
+        if (at < p->size()) {
+          (*p)[at] = static_cast<char>((*p)[at] ^ (1 << rng.Uniform(8)));
+        }
+        break;
+      case 1:  // insert a byte
+        p->insert(at, 1, static_cast<char>(rng.Uniform(256)));
+        break;
+      case 2:  // delete a short run
+        if (!p->empty()) p->erase(at, 1 + rng.Uniform(4));
+        break;
+      default: {  // overwrite a run with a run of another record
+        const std::string& other = payloads[rng.Uniform(payloads.size())];
+        size_t from = rng.Uniform(other.size());
+        size_t len = 1 + rng.Uniform(std::min<size_t>(32, other.size() - from));
+        p->replace(at, rng.Uniform(33), other, from, len);
+        break;
+      }
+    }
+  };
+
+  constexpr int kIterations = 200000;
+  int rejected = 0;
+  int accepted = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    size_t which = rng.Uniform(payloads.size());
+    std::string payload = payloads[which];
+    const bool rewrite_field = rng.Bernoulli(0.5);
+    if (rewrite_field) {
+      const std::vector<size_t>& offsets = fields[which];
+      size_t at = offsets[rng.Uniform(offsets.size())];
+      size_t end = at;
+      uint64_t old = 0;
+      BIONAV_CHECK(ReadVarint(payload, &end, &old));
+      std::string encoded;
+      switch (rng.Uniform(4)) {
+        case 0: AppendVarint(&encoded, old + 1 + rng.Uniform(3)); break;
+        case 1: AppendVarint(&encoded, old > 0 ? old - 1 : 0); break;
+        case 2: AppendVarint(&encoded, uint64_t{1} << rng.Uniform(64)); break;
+        default:  // the same value, overlong
+          AppendVarint(&encoded, old);
+          encoded.back() = static_cast<char>(encoded.back() | 0x80);
+          encoded.push_back('\0');
+          break;
+      }
+      payload.replace(at, end - at, encoded);
+    }
+    // Every case mutates at least once.
+    for (uint64_t m = rng.Uniform(3) + (rewrite_field ? 0 : 1); m > 0; --m) {
+      mutate(&payload);
+    }
+
+    const std::string record = SealRecord(kSnapshotMagic, payload);
+    auto decoded = DecodeSnapshot(record);
+    if (!decoded.ok()) {
+      ASSERT_TRUE(decoded.status().code() == StatusCode::kDataLoss ||
+                  decoded.status().code() == StatusCode::kInvalidArgument)
+          << "iteration " << iter << ": " << decoded.status().ToString();
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(EncodeSnapshot(decoded.ValueOrDie()), record)
+        << "iteration " << iter << " decoded to a different snapshot";
+  }
+  // Both outcomes occur, so the sweep reaches past the CRC.
+  EXPECT_GT(rejected, kIterations / 10);
+  EXPECT_GT(accepted, kIterations / 10);
 }
 
 TEST(SnapshotFormatTest, Crc32MatchesIeeeCheckValue) {

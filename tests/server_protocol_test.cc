@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bionav.h"
@@ -54,8 +57,13 @@ TEST(JsonParse, ArraysAndObjects) {
 }
 
 TEST(JsonParse, TypedGettersWithDefaults) {
-  auto v = ParseJson(R"({"n": 7, "s": "x", "b": true})").ValueOrDie();
+  auto v = ParseJson(R"({"n": 7, "s": "x", "b": true, "big": 1e300,)"
+                     R"( "neg": -1e300})")
+               .ValueOrDie();
   EXPECT_EQ(v.IntOr("n", -1), 7);
+  // Numbers outside the int64 range have no int64 value -> default.
+  EXPECT_EQ(v.IntOr("big", -1), -1);
+  EXPECT_EQ(v.IntOr("neg", -1), -1);
   EXPECT_EQ(v.IntOr("s", -1), -1);  // wrong type -> default
   EXPECT_EQ(v.StringOr("s", "d"), "x");
   EXPECT_EQ(v.StringOr("n", "d"), "d");
@@ -323,11 +331,12 @@ TEST(ProtocolBinary, RequestRoundTripEveryOpMatchesJson) {
         << RequestOpName(request.op) << ": " << message;
     EXPECT_EQ(binary_view.version, kBinaryProtocolVersion);
 
-    // JSON leg through the shared view adapter.
-    Request json_parsed;
-    ASSERT_EQ(ParseRequest(SerializeRequest(request), &json_parsed, &message),
+    // JSON leg through the shared decode entry point.
+    Request json_storage;
+    RequestView json_view;
+    ASSERT_EQ(DecodeRequest(WireProto::kJson, SerializeRequest(request),
+                            &json_storage, &json_view, &message),
               WireError::kNone);
-    RequestView json_view = MakeRequestView(json_parsed);
 
     EXPECT_EQ(binary_view.op, json_view.op);
     EXPECT_EQ(binary_view.token, json_view.token);
@@ -645,6 +654,472 @@ TEST(LineFrameDecoderTest, OversizedCompleteLineLatchesAfterEarlierFrames) {
   EXPECT_TRUE(decoder.overflowed());
   EXPECT_FALSE(decoder.Next(&line));  // Latched: nothing past it.
   EXPECT_FALSE(decoder.Feed("more\n"));
+}
+
+// ---------------------------------------------------------------------------
+// One request grammar: both decoders agree, and survive mutation
+// ---------------------------------------------------------------------------
+
+/// The oracle set plus a BATCH_EXPAND, the one list-carrying op.
+std::vector<Request> OracleRequestsWithBatch() {
+  std::vector<Request> requests = OracleRequests();
+  Request batch;
+  batch.op = RequestOp::kBatchExpand;
+  batch.token = "s42";
+  batch.nodes = {0, 17, -5, 2147483647};
+  requests.push_back(batch);
+  return requests;
+}
+
+/// Hand-built binary v2 request bodies, so a case can carry values the C++
+/// request types cannot hold. Ids and value types are the wire format's.
+class BinaryBody {
+ public:
+  enum Id : uint8_t {
+    kToken = 1,
+    kQuery = 2,
+    kNode = 3,
+    kConcept = 4,
+    kRetstart = 5,
+    kRetmax = 6,
+    kDepth = 7,
+    kNodes = 8,
+  };
+
+  explicit BinaryBody(RequestOp op) {
+    body_.push_back(static_cast<char>(kBinaryProtocolVersion));
+    body_.push_back(static_cast<char>(op));
+  }
+  BinaryBody& Text(Id id, std::string_view text) {
+    Head(id, 3);
+    AppendVarint(&body_, text.size());
+    body_.append(text);
+    return *this;
+  }
+  BinaryBody& Int(Id id, int64_t value) {
+    Head(id, 1);
+    AppendVarint(&body_, ZigzagEncode(value));
+    return *this;
+  }
+  BinaryBody& UInt(Id id, uint64_t value) {
+    Head(id, 0);
+    AppendVarint(&body_, value);
+    return *this;
+  }
+  BinaryBody& List(Id id, std::initializer_list<int64_t> values) {
+    Head(id, 5);
+    AppendVarint(&body_, values.size());
+    for (int64_t v : values) AppendVarint(&body_, ZigzagEncode(v));
+    return *this;
+  }
+  const std::string& body() const { return body_; }
+
+ private:
+  void Head(Id id, uint8_t type) {
+    body_.push_back(static_cast<char>(id));
+    body_.push_back(static_cast<char>(type));
+  }
+  std::string body_;
+};
+
+/// Decodes `payload` through the real receive path of `proto`: a binary
+/// body is re-framed with a correct length prefix and popped by
+/// BinaryFrameDecoder; a JSON line goes through LineFrameDecoder.
+/// `*popped` backs the view's string fields.
+WireError DecodeThroughFraming(WireProto proto, std::string_view payload,
+                               std::string* popped, Request* storage,
+                               RequestView* view, std::string* message) {
+  std::string frame;
+  bool have = false;
+  if (proto == WireProto::kBinary) {
+    frame.push_back(static_cast<char>(kBinaryFrameMagic));
+    const uint32_t length = static_cast<uint32_t>(payload.size());
+    for (int shift = 0; shift < 32; shift += 8) {
+      frame.push_back(static_cast<char>((length >> shift) & 0xff));
+    }
+    frame.append(payload);
+    BinaryFrameDecoder decoder;
+    have = decoder.Feed(frame) && decoder.Next(popped);
+  } else {
+    frame = std::string(payload) + "\n";
+    LineFrameDecoder decoder;
+    have = decoder.Feed(frame) && decoder.Next(popped);
+  }
+  if (!have) {
+    *message = "frame decoder did not pop the frame";
+    return WireError::kInternal;
+  }
+  return DecodeRequest(proto, *popped, storage, view, message);
+}
+
+bool SameRequest(const RequestView& a, const RequestView& b) {
+  return a.op == b.op && a.token == b.token && a.query == b.query &&
+         a.node == b.node && a.nodes == b.nodes &&
+         a.concept_id == b.concept_id && a.retstart == b.retstart &&
+         a.retmax == b.retmax && a.depth == b.depth;
+}
+
+/// An owned JSON-version copy of a view, for re-encoding it.
+Request OwnedRequest(const RequestView& view) {
+  Request request;
+  request.op = view.op;
+  request.token = view.token;
+  request.query = view.query;
+  request.node = view.node;
+  request.nodes = view.nodes;
+  request.concept_id = view.concept_id;
+  request.retstart = view.retstart;
+  request.retmax = view.retmax;
+  request.depth = view.depth;
+  return request;
+}
+
+std::string Describe(const RequestView& view) {
+  return SerializeRequest(OwnedRequest(view));
+}
+
+TEST(ProtocolRequest, JsonAndBinaryDecodersAgree) {
+  struct Case {
+    std::string json;
+    std::string binary;
+    const char* rejected_field;  // nullptr: both must accept
+  };
+  using B = BinaryBody;
+  std::vector<Case> cases;
+  for (const Request& request : OracleRequestsWithBatch()) {
+    cases.push_back({SerializeRequest(request),
+                     SerializeRequestBinary(request).substr(
+                         kBinaryFrameHeaderBytes),
+                     nullptr});
+  }
+  const std::string expand = R"({"v":1,"op":"EXPAND","token":"s1",)";
+  auto expand_body = [] {
+    return B(RequestOp::kExpand).Text(B::kToken, "s1");
+  };
+  // int32 members: both edges pass, one past either edge fails (2^32+5
+  // was once read as node 5).
+  cases.push_back({expand + R"("node":2147483647})",
+                   expand_body().Int(B::kNode, INT32_MAX).body(), nullptr});
+  cases.push_back({expand + R"("node":-2147483648})",
+                   expand_body().Int(B::kNode, INT32_MIN).body(), nullptr});
+  cases.push_back({expand + R"("node":-0})",
+                   expand_body().Int(B::kNode, 0).body(), nullptr});
+  cases.push_back({expand + R"("node":4294967301})",
+                   expand_body().Int(B::kNode, 4294967301).body(), "node"});
+  cases.push_back({expand + R"("node":-2147483649})",
+                   expand_body().Int(B::kNode, -2147483649).body(), "node"});
+  cases.push_back(
+      {R"({"v":1,"op":"FIND","token":"s1","concept":2147483648})",
+       B(RequestOp::kFind)
+           .Text(B::kToken, "s1")
+           .Int(B::kConcept, 2147483648)
+           .body(),
+       "concept"});
+  cases.push_back({R"({"v":1,"op":"VIEW","token":"s1","depth":1099511627776})",
+                   B(RequestOp::kView)
+                       .Text(B::kToken, "s1")
+                       .Int(B::kDepth, int64_t{1} << 40)
+                       .body(),
+                   "depth"});
+  cases.push_back(
+      {R"({"v":1,"op":"BATCH_EXPAND","token":"s1","nodes":[1,4294967301]})",
+       B(RequestOp::kBatchExpand)
+           .Text(B::kToken, "s1")
+           .List(B::kNodes, {1, 4294967301})
+           .body(),
+       "nodes"});
+  // uint64 members keep every digit in both encodings, past 2^53 too.
+  cases.push_back(
+      {R"({"v":1,"op":"SHOWRESULTS","token":"s1","node":2,)"
+       R"("retstart":18446744073709551615,"retmax":9007199254740993})",
+       B(RequestOp::kShowResults)
+           .Text(B::kToken, "s1")
+           .Int(B::kNode, 2)
+           .UInt(B::kRetstart, UINT64_MAX)
+           .UInt(B::kRetmax, 9007199254740993u)
+           .body(),
+       nullptr});
+  // A field the op does not carry is ignored, whatever its value.
+  cases.push_back({expand + R"("node":1,"depth":4294967301})",
+                   expand_body()
+                       .Int(B::kNode, 1)
+                       .Int(B::kDepth, 4294967301)
+                       .body(),
+                   nullptr});
+
+  for (const Case& c : cases) {
+    std::string json_popped, binary_popped, json_message, binary_message;
+    Request json_storage, binary_storage;
+    RequestView json_view, binary_view;
+    WireError json_error =
+        DecodeThroughFraming(WireProto::kJson, c.json, &json_popped,
+                             &json_storage, &json_view, &json_message);
+    WireError binary_error = DecodeThroughFraming(
+        WireProto::kBinary, c.binary, &binary_popped, &binary_storage,
+        &binary_view, &binary_message);
+    if (c.rejected_field == nullptr) {
+      ASSERT_EQ(json_error, WireError::kNone) << c.json << ": " << json_message;
+      ASSERT_EQ(binary_error, WireError::kNone)
+          << c.json << ": " << binary_message;
+      EXPECT_TRUE(SameRequest(json_view, binary_view))
+          << c.json << " decoded from binary as " << Describe(binary_view);
+      continue;
+    }
+    EXPECT_EQ(json_error, WireError::kBadRequest)
+        << c.json << " accepted as " << Describe(json_view);
+    EXPECT_EQ(binary_error, WireError::kBadRequest)
+        << c.json << " accepted from binary as " << Describe(binary_view);
+    EXPECT_NE(json_message.find(c.rejected_field), std::string::npos)
+        << json_message;
+    EXPECT_NE(binary_message.find(c.rejected_field), std::string::npos)
+        << binary_message;
+  }
+
+  // Fractions and numbers past 2^64 exist only in JSON; BAD_REQUEST there
+  // (once a UB double->int cast, or a silent truncation).
+  const std::pair<std::string, const char*> json_only[] = {
+      {expand + R"("node":5.9})", "node"},
+      {expand + R"("node":1e300})", "node"},
+      {R"({"v":1,"op":"VIEW","token":"s1","depth":1e300})", "depth"},
+      {R"({"v":1,"op":"SHOWRESULTS","token":"s1","node":2,"retstart":2.5})",
+       "retstart"},
+      {R"({"v":1,"op":"SHOWRESULTS","token":"s1","node":2,"retmax":-1})",
+       "retmax"},
+      {R"({"v":1,"op":"BATCH_EXPAND","token":"s1","nodes":[1,1.5]})",
+       "nodes"},
+      {R"({"v":1,"op":"BATCH_EXPAND","token":"s1","nodes":[1,"2"]})",
+       "nodes"},
+  };
+  for (const auto& [line, field] : json_only) {
+    Request parsed;
+    std::string message;
+    EXPECT_EQ(ParseRequest(line, &parsed, &message), WireError::kBadRequest)
+        << line << " accepted as " << SerializeRequest(parsed);
+    EXPECT_NE(message.find(field), std::string::npos) << message;
+  }
+}
+
+/// The fuzz oracle: a decode either failed with a typed error and a
+/// message, or yielded a view that re-encodes in the other encoding and
+/// decodes back to an equal view.
+::testing::AssertionResult RejectsOrRoundTrips(WireProto proto,
+                                               WireError error,
+                                               const std::string& message,
+                                               const RequestView& view) {
+  if (error != WireError::kNone) {
+    if (error != WireError::kBadRequest &&
+        error != WireError::kUnsupportedVersion) {
+      return ::testing::AssertionFailure()
+             << "untyped rejection " << WireErrorName(error);
+    }
+    if (message.empty()) {
+      return ::testing::AssertionFailure() << "rejection without a message";
+    }
+    return ::testing::AssertionSuccess();
+  }
+  const Request owned = OwnedRequest(view);
+  const WireProto other =
+      proto == WireProto::kJson ? WireProto::kBinary : WireProto::kJson;
+  std::string frame = EncodeRequestFrame(other, owned);
+  std::string payload = other == WireProto::kBinary
+                            ? frame.substr(kBinaryFrameHeaderBytes)
+                            : frame.substr(0, frame.size() - 1);
+  std::string popped, back_message;
+  Request storage;
+  RequestView back;
+  WireError back_error = DecodeThroughFraming(other, payload, &popped,
+                                              &storage, &back, &back_message);
+  if (back_error != WireError::kNone) {
+    return ::testing::AssertionFailure()
+           << Describe(view) << " re-encoded as " << WireProtoName(other)
+           << " was rejected: " << back_message;
+  }
+  if (!SameRequest(view, back)) {
+    return ::testing::AssertionFailure()
+           << Describe(view) << " came back from " << WireProtoName(other)
+           << " as " << Describe(back);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Offsets of the field headers of a well-formed binary request body.
+std::vector<size_t> FieldHeaders(std::string_view body) {
+  std::vector<size_t> headers;
+  size_t pos = 2;
+  while (pos < body.size()) {
+    headers.push_back(pos);
+    const uint8_t type = static_cast<uint8_t>(body[pos + 1]);
+    pos += 2;
+    uint64_t v = 0;
+    BIONAV_CHECK(ReadVarint(body, &pos, &v));
+    if (type == 3) pos += static_cast<size_t>(v);  // string bytes
+    for (uint64_t e = 0; type == 5 && v > 0; --v) {  // list entries
+      BIONAV_CHECK(ReadVarint(body, &pos, &e));
+    }
+  }
+  return headers;
+}
+
+TEST(ProtocolFuzz, BinaryRequestMutationsRejectOrRoundTrip) {
+  std::vector<std::string> seeds;
+  std::vector<std::vector<size_t>> headers;
+  for (const Request& request : OracleRequestsWithBatch()) {
+    seeds.push_back(
+        SerializeRequestBinary(request).substr(kBinaryFrameHeaderBytes));
+    headers.push_back(FieldHeaders(seeds.back()));
+  }
+  // Values that do not fit an int32 or uint64 member, as raw varints.
+  const uint64_t kOutOfRange[] = {
+      ZigzagEncode(int64_t{1} << 31),   ZigzagEncode(4294967301),
+      ZigzagEncode(-2147483649),        ZigzagEncode(INT64_MIN),
+      uint64_t{1} << 63,                UINT64_MAX,
+  };
+
+  Rng rng(0xF022B2);
+  constexpr int kIterations = 300000;
+  int rejected = 0;
+  int accepted = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    const size_t which = rng.Uniform(seeds.size());
+    std::string body = seeds[which];
+    const std::vector<size_t>& fields = headers[which];
+    for (uint64_t m = 1 + rng.Uniform(2); m > 0; --m) {
+      const size_t at = body.empty() ? 0 : rng.Uniform(body.size());
+      switch (rng.Uniform(fields.empty() ? 3 : 6)) {
+        case 0:  // bit flip
+          if (at < body.size()) {
+            body[at] = static_cast<char>(body[at] ^ (1 << rng.Uniform(8)));
+          }
+          break;
+        case 1:  // insert a byte
+          body.insert(at, 1, static_cast<char>(rng.Uniform(256)));
+          break;
+        case 2:  // delete a short run
+          body.erase(at, 1 + rng.Uniform(4));
+          break;
+        case 3: {  // rewrite a field id
+          size_t h = fields[rng.Uniform(fields.size())];
+          if (h < body.size()) body[h] = static_cast<char>(rng.Uniform(10));
+          break;
+        }
+        case 4: {  // rewrite a field type
+          size_t h = fields[rng.Uniform(fields.size())] + 1;
+          if (h < body.size()) body[h] = static_cast<char>(rng.Uniform(7));
+          break;
+        }
+        default: {  // rewrite the varint after a field header
+          size_t start = fields[rng.Uniform(fields.size())] + 2;
+          size_t end = start;
+          uint64_t old = 0;
+          if (!ReadVarint(body, &end, &old)) break;
+          std::string encoded;
+          switch (rng.Uniform(4)) {
+            case 0:
+              AppendVarint(&encoded, old + 1 + rng.Uniform(3));
+              break;
+            case 1:
+              AppendVarint(&encoded, old > 0 ? old - 1 : 0);
+              break;
+            case 2:
+              AppendVarint(&encoded,
+                           kOutOfRange[rng.Uniform(std::size(kOutOfRange))]);
+              break;
+            default:  // the same value, overlong
+              AppendVarint(&encoded, old);
+              encoded.back() = static_cast<char>(encoded.back() | 0x80);
+              encoded.push_back('\0');
+              break;
+          }
+          body.replace(start, end - start, encoded);
+          break;
+        }
+      }
+    }
+    std::string popped, message;
+    Request storage;
+    RequestView view;
+    WireError error = DecodeThroughFraming(WireProto::kBinary, body, &popped,
+                                           &storage, &view, &message);
+    ASSERT_TRUE(RejectsOrRoundTrips(WireProto::kBinary, error, message, view))
+        << "iteration " << iter;
+    ++(error == WireError::kNone ? accepted : rejected);
+  }
+  EXPECT_GT(rejected, kIterations / 10);
+  EXPECT_GT(accepted, kIterations / 20);
+}
+
+TEST(ProtocolFuzz, JsonRequestMutationsRejectOrRoundTrip) {
+  std::vector<std::string> seeds;
+  for (const Request& request : OracleRequestsWithBatch()) {
+    seeds.push_back(SerializeRequest(request));
+  }
+  const char* kNumbers[] = {"1e300", "-0", "2.5", "4294967301",
+                            "-2147483649"};
+  const std::string kAlphabet = "{}[]:,\"\\-.e0123456789 xu";
+
+  Rng rng(0x7507F022);
+  constexpr int kIterations = 150000;
+  int rejected = 0;
+  int accepted = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    std::string line = seeds[rng.Uniform(seeds.size())];
+    for (uint64_t m = 1 + rng.Uniform(2); m > 0; --m) {
+      const size_t at = line.empty() ? 0 : rng.Uniform(line.size());
+      switch (rng.Uniform(4)) {
+        case 0:  // character flip
+          if (at == line.size()) break;
+          line[at] = rng.Bernoulli(0.5)
+                         ? kAlphabet[rng.Uniform(kAlphabet.size())]
+                         : static_cast<char>(1 + rng.Uniform(255));
+          break;
+        case 1: {  // splice in a run of another request
+          const std::string& other = seeds[rng.Uniform(seeds.size())];
+          size_t from = rng.Uniform(other.size());
+          size_t len = 1 + rng.Uniform(other.size() - from);
+          line.replace(at, rng.Uniform(16), other, from, len);
+          break;
+        }
+        case 2:  // delete a short run
+          line.erase(at, 1 + rng.Uniform(4));
+          break;
+        default: {  // replace a number with an edge value
+          std::vector<size_t> starts;
+          for (size_t i = 0; i < line.size(); ++i) {
+            bool digit = line[i] >= '0' && line[i] <= '9';
+            bool after_digit =
+                i > 0 && line[i - 1] >= '0' && line[i - 1] <= '9';
+            if (digit && !after_digit) starts.push_back(i);
+          }
+          if (starts.empty()) break;
+          size_t start = starts[rng.Uniform(starts.size())];
+          size_t end = start;
+          while (end < line.size() && line[end] >= '0' && line[end] <= '9') {
+            ++end;
+          }
+          if (start > 0 && line[start - 1] == '-') --start;
+          line.replace(start, end - start,
+                       kNumbers[rng.Uniform(std::size(kNumbers))]);
+          break;
+        }
+      }
+    }
+    std::string popped, message;
+    Request storage;
+    RequestView view;
+    WireError error;
+    if (line.find('\n') != std::string::npos) {
+      // A raw newline would split the frame; decode the line directly.
+      error = DecodeRequest(WireProto::kJson, line, &storage, &view, &message);
+    } else {
+      error = DecodeThroughFraming(WireProto::kJson, line, &popped, &storage,
+                                   &view, &message);
+    }
+    ASSERT_TRUE(RejectsOrRoundTrips(WireProto::kJson, error, message, view))
+        << "iteration " << iter << ": " << line;
+    ++(error == WireError::kNone ? accepted : rejected);
+  }
+  EXPECT_GT(rejected, kIterations / 10);
+  EXPECT_GT(accepted, kIterations / 20);
 }
 
 }  // namespace
