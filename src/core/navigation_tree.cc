@@ -26,8 +26,10 @@ NavigationTree::NavigationTree(const ConceptHierarchy& hierarchy,
   for (size_t i = 0; i < result_->size(); ++i) {
     CitationId cid = result_->citation(i);
     for (ConceptId c : associations.ConceptsOf(cid)) {
-      auto [it, inserted] = attached.try_emplace(c, result_->MakeBitset());
-      (void)inserted;
+      auto it = attached.find(c);
+      if (it == attached.end()) {
+        it = attached.emplace(c, result_->MakeBitset()).first;
+      }
       it->second.Set(i);
     }
   }
@@ -37,14 +39,17 @@ NavigationTree::NavigationTree(const ConceptHierarchy& hierarchy,
   // concept becomes a node, so this bounds the node count.
   Reserve(attached.size() + 1);
 
-  // Maximum embedding via a single pre-order sweep over the hierarchy:
-  // every kept node's parent is its nearest kept ancestor. This is exactly
-  // the result of recursively splicing out empty nodes.
-  struct StackEntry {
-    ConceptId concept_id;
-    NavNodeId node;
-  };
-  std::vector<StackEntry> stack;
+  // The other touched concepts in hierarchy pre-order. Sorting them by
+  // pre-order rank costs O(|touched| log |touched|), independent of the
+  // hierarchy's size; the ancestors they skip are exactly the empty nodes
+  // the maximum embedding splices out.
+  std::vector<std::pair<int, ConceptId>> touched;  // (PreRank, concept)
+  touched.reserve(attached.size());
+  for (const auto& entry : attached) {
+    if (entry.first == ConceptHierarchy::kRoot) continue;
+    touched.emplace_back(hierarchy.PreRank(entry.first), entry.first);
+  }
+  std::sort(touched.begin(), touched.end());
 
   auto add_node = [&](ConceptId c, NavNodeId parent) {
     NavNodeId id = static_cast<NavNodeId>(size());
@@ -56,22 +61,24 @@ NavigationTree::NavigationTree(const ConceptHierarchy& hierarchy,
     return id;
   };
 
+  // Maximum embedding: in pre-order, every kept node's parent is its
+  // nearest kept ancestor, the deepest entry of the stack of open kept
+  // nodes that is a hierarchy ancestor of it.
+  struct StackEntry {
+    ConceptId concept_id;
+    NavNodeId node;
+  };
+  std::vector<StackEntry> stack;
   NavNodeId root = add_node(ConceptHierarchy::kRoot, kInvalidNavNode);
   BIONAV_CHECK_EQ(root, kRoot);
   stack.push_back({ConceptHierarchy::kRoot, root});
-
-  hierarchy.PreOrder([&](ConceptId c) {
-    if (c == ConceptHierarchy::kRoot) return;
-    auto it = attached.find(c);
-    if (it == attached.end() || !it->second.Any()) return;
-    while (!stack.empty() &&
-           !hierarchy.IsAncestorOrSelf(stack.back().concept_id, c)) {
+  for (const auto& [rank, c] : touched) {
+    while (!hierarchy.IsAncestorOrSelf(stack.back().concept_id, c)) {
       stack.pop_back();
     }
-    BIONAV_CHECK(!stack.empty());
     NavNodeId id = add_node(c, stack.back().node);
     stack.push_back({c, id});
-  });
+  }
   Finish();
 }
 
@@ -94,11 +101,6 @@ void NavigationTree::AppendNode(ConceptId concept_id, NavNodeId parent,
 
 void NavigationTree::Finish() {
   const size_t n = size();
-  concept_to_node_.assign(hierarchy_->size(), kInvalidNavNode);
-  for (size_t i = 0; i < n; ++i) {
-    concept_to_node_[static_cast<size_t>(concept_[i])] =
-        static_cast<NavNodeId>(i);
-  }
   // Nodes are in pre-order, so each node's descendants follow it: one
   // reverse sweep folds every node into its parent's interval end and
   // subtree citation set after its own subtree is complete.
@@ -153,7 +155,10 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
   // construction invariants below are enforced with CHECKs elsewhere in
   // this class, so anything not verified here could turn wire corruption
   // into a crash instead of a typed decode error.
-  std::vector<bool> concept_seen(hierarchy.size(), false);
+  // Concepts ascend strictly by hierarchy pre-order rank, as a local build
+  // lists them: that makes them unique and keeps NodeOfConcept's binary
+  // search valid on the decoded tree.
+  int prev_rank = -1;
   // A valid pre-order layout means each node's parent is on the ancestor
   // path of the previous node (the "open" chain of unfinished subtrees).
   std::vector<NavNodeId> open;
@@ -165,10 +170,14 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
       return bad("names concept " + std::to_string(rec.concept_id) +
                  " outside the hierarchy");
     }
-    if (concept_seen[static_cast<size_t>(rec.concept_id)]) {
-      return bad("repeats concept " + std::to_string(rec.concept_id));
+    const int rank = hierarchy.PreRank(rec.concept_id);
+    if (rank <= prev_rank) {
+      return bad(rank == prev_rank
+                     ? "repeats concept " + std::to_string(rec.concept_id)
+                     : "lists concept " + std::to_string(rec.concept_id) +
+                           " out of hierarchy pre-order");
     }
-    concept_seen[static_cast<size_t>(rec.concept_id)] = true;
+    prev_rank = rank;
     if (rec.global_count < 0) return bad("has a negative global count");
     uint32_t prev = 0;
     for (size_t k = 0; k < rec.result_indexes.size(); ++k) {
@@ -195,7 +204,18 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
                                     rec.concept_id)) {
       return bad("breaks hierarchy ancestry at node " + std::to_string(i));
     }
-    while (!open.empty() && open.back() != rec.parent) open.pop_back();
+    // With concepts in pre-order rank, the open chain holds every earlier
+    // kept hierarchy ancestor of this concept, so an ancestor closed above
+    // the parent means the parent is not the nearest one.
+    while (!open.empty() && open.back() != rec.parent) {
+      if (hierarchy.IsAncestorOrSelf(
+              serialized[static_cast<size_t>(open.back())].concept_id,
+              rec.concept_id)) {
+        return bad("hangs node " + std::to_string(i) +
+                   " below a farther kept ancestor");
+      }
+      open.pop_back();
+    }
     if (open.empty()) {
       return bad("is not a pre-order layout (parent " +
                  std::to_string(rec.parent) + " closed before node " +
@@ -226,15 +246,21 @@ int NavigationTree::NodeDepth(NavNodeId id) const {
 }
 
 NavNodeId NavigationTree::NodeOfConcept(ConceptId concept_id) const {
-  BIONAV_CHECK_GE(concept_id, 0);
-  BIONAV_CHECK_LT(static_cast<size_t>(concept_id), concept_to_node_.size());
-  return concept_to_node_[static_cast<size_t>(concept_id)];
+  // Both constructors leave concept_ ascending by hierarchy pre-order rank,
+  // so the node, if any, is where the concept's rank would sort.
+  const int rank = hierarchy_->PreRank(concept_id);
+  auto it = std::lower_bound(concept_.begin(), concept_.end(), rank,
+                             [&](ConceptId c, int r) {
+                               return hierarchy_->PreRank(c) < r;
+                             });
+  return it != concept_.end() && *it == concept_id
+             ? static_cast<NavNodeId>(it - concept_.begin())
+             : kInvalidNavNode;
 }
 
 size_t NavigationTree::MemoryFootprint() const {
   size_t bytes = sizeof(NavigationTree);
-  bytes += (concept_.capacity() + concept_to_node_.capacity()) *
-           sizeof(ConceptId);
+  bytes += concept_.capacity() * sizeof(ConceptId);
   bytes += (parent_.capacity() + subtree_end_.capacity()) * sizeof(NavNodeId);
   bytes += (attached_.capacity() + subtree_distinct_.capacity()) * sizeof(int);
   bytes += (global_.capacity() + attached_prefix_.capacity()) * sizeof(int64_t);

@@ -32,10 +32,11 @@ struct SerializedNavNode {
 /// The paper's Navigation Tree (Definition 2): the maximum embedding of the
 /// initial navigation tree such that no node except the root has an empty
 /// results list. Construction attaches each result citation to its
-/// associated concepts (Definition: Initial Navigation Tree) and keeps, in
-/// one pre-order sweep of the hierarchy, exactly the concepts that received
-/// a citation, each under its nearest kept ancestor — the result of
-/// recursively splicing out empty nodes.
+/// associated concepts (Definition: Initial Navigation Tree), sorts exactly
+/// the concepts that received a citation by hierarchy pre-order rank, and
+/// keeps each under its nearest kept ancestor — the result of recursively
+/// splicing out empty nodes. It costs O(|touched| log |touched|) over the
+/// touched concepts and allocates nothing sized to the hierarchy.
 ///
 /// The tree is immutable and complete when a constructor returns: nodes
 /// live in pre-order as parallel columns (concept, parent, |L(n)|, |LT(n)|,
@@ -53,10 +54,11 @@ class NavigationTree {
   /// Reconstructs a tree from pre-order node records captured on another
   /// shard (the FETCH_ARTIFACT path). The records are untrusted: every
   /// structural invariant (root first, parents preceding children in a
-  /// valid pre-order nesting, concepts unique and inside the hierarchy,
-  /// result indexes ascending and inside the result set) is validated
-  /// BEFORE any column is built, so arbitrary bytes yield a typed kDataLoss
-  /// instead of tripping a CHECK. The returned tree has the same columns as
+  /// valid pre-order nesting, concepts inside the hierarchy and strictly
+  /// ascending by its pre-order rank, each node under its nearest kept
+  /// hierarchy ancestor, result indexes ascending and inside the result
+  /// set) is validated BEFORE any column is built, so arbitrary bytes
+  /// yield a typed kDataLoss instead of tripping a CHECK. The returned tree has the same columns as
   /// a locally built tree of the same shape.
   static Result<std::shared_ptr<NavigationTree>> FromSerializedNodes(
       const ConceptHierarchy& hierarchy,
@@ -122,7 +124,8 @@ class NavigationTree {
   std::shared_ptr<const ResultSet> result_ptr() const { return result_; }
 
   /// Navigation-tree node of a concept, or kInvalidNavNode if the concept
-  /// has no attached citations (was embedded away).
+  /// has no attached citations (was embedded away). O(log size()): a binary
+  /// search over the nodes, which ascend by hierarchy pre-order rank.
   NavNodeId NodeOfConcept(ConceptId concept_id) const;
 
   /// Distinct citations attached anywhere in the subtree rooted at `id`
@@ -136,13 +139,13 @@ class NavigationTree {
     return subtree_distinct_[CheckedIndex(id)];
   }
 
-  /// Kept so navbench/replay.cc, which times a separate freeze step, still
-  /// compiles; the tree is complete when its constructor returns.
+  /// A no-op: the tree is complete when its constructor returns. It stays
+  /// only because navbench/replay.cc, which times a separate freeze step,
+  /// calls it; deleting it means changing the benchmark with it.
   void Freeze() const {}
 
-  /// Heap bytes held by the tree: its columns (attached-citation and
-  /// subtree bitsets included) and the concept index. Feeds the
-  /// QueryArtifactCache byte budget.
+  /// Heap bytes held by the tree: its columns, attached-citation and
+  /// subtree bitsets included. Feeds the QueryArtifactCache byte budget.
   size_t MemoryFootprint() const;
 
   /// Sum of |L(n)| over the subtree of `id`, with duplicates — O(1) via
@@ -195,9 +198,9 @@ class NavigationTree {
   /// Appends the next node in pre-order; `parent` precedes it.
   void AppendNode(ConceptId concept_id, NavNodeId parent,
                   DynamicBitset results, int64_t global_count);
-  /// Derives the concept index, pre-order interval ends, attached prefix
-  /// sums and subtree citation sets from the appended nodes — the one
-  /// finishing step of both constructors.
+  /// Derives the pre-order interval ends, attached prefix sums and subtree
+  /// citation sets from the appended nodes — the one finishing step of
+  /// both constructors.
   void Finish();
 
   const ConceptHierarchy* hierarchy_;
@@ -211,8 +214,7 @@ class NavigationTree {
   std::vector<NavNodeId> subtree_end_;
   std::vector<DynamicBitset> subtree_results_;
   std::vector<int> subtree_distinct_;
-  std::vector<int64_t> attached_prefix_;    // Size nodes+1.
-  std::vector<NavNodeId> concept_to_node_;  // Indexed by ConceptId.
+  std::vector<int64_t> attached_prefix_;  // Size nodes+1.
 };
 
 }  // namespace bionav

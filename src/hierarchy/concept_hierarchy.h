@@ -71,6 +71,14 @@ class ConceptHierarchy {
   /// True iff `a` is an ancestor of `b` or a == b. Requires frozen(). O(1).
   bool IsAncestorOrSelf(ConceptId a, ConceptId b) const;
 
+  /// Pre-order rank assigned at Freeze(): the root is 0 and ranks ascend
+  /// in the order PreOrder() visits nodes, so sorting any concept set by
+  /// rank lists it in hierarchy pre-order. Requires frozen(). O(1).
+  int PreRank(ConceptId id) const {
+    BIONAV_CHECK(frozen_);
+    return pre_[static_cast<size_t>(CheckId(id))];
+  }
+
   /// First node with the given label, or kInvalidConcept.
   ConceptId FindByLabel(std::string_view label) const;
 
@@ -110,7 +118,7 @@ class ConceptHierarchy {
 
   // Computed at Freeze().
   std::vector<int> depths_;
-  std::vector<int> pre_;        // Pre-order entry index.
+  std::vector<int> pre_;        // Pre-order entry index (PreRank).
   std::vector<int> post_;       // Pre-order exit index (subtree interval end).
   std::vector<TreeNumber> tree_numbers_;
   std::vector<int> level_widths_;

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <thread>
 
@@ -66,15 +68,58 @@ Status ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t addrlen,
   return status;
 }
 
-/// Appends the node ids of a response's id array; false when the array is
-/// absent or holds a non-number.
-bool ReadNodeIds(const JsonValue* array, std::vector<NavNodeId>* out) {
-  if (array == nullptr || !array->is_array()) return false;
-  for (const JsonValue& item : array->array_items()) {
-    if (!item.is_number()) return false;
-    out->push_back(static_cast<NavNodeId>(item.number_value()));
+/// Reads a reply number as a `T`: true only when it is integral and inside
+/// T's range, the rule the request decoders apply. A reply is input like a
+/// request, so 1e300 must not reach an undefined double conversion and
+/// 2^40 must not wrap into a valid-looking id.
+template <typename T>
+bool ToInteger(const JsonValue& value, T* out) {
+  if (!value.is_number()) return false;
+  if (value.exact_uint()) {  // Integer literals stay exact past 2^53.
+    if (*value.exact_uint() >
+        static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+      return false;
+    }
+    *out = static_cast<T>(*value.exact_uint());
+    return true;
   }
+  const double d = value.number_value();
+  // [lo, hi) bounds every T exactly: hi = 2^digits, lo = -hi or 0.
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+  if (d != std::trunc(d) || !(d >= lo && d < hi)) return false;
+  *out = static_cast<T>(d);
   return true;
+}
+
+/// Reads integer member `key` of a reply into `*out`; an absent member
+/// leaves `def`. A member that is not such an integer is Internal.
+template <typename T>
+Status ReadInt(const JsonValue& doc, std::string_view key, T def, T* out) {
+  *out = def;
+  const JsonValue* value = doc.Find(key);
+  if (value == nullptr || ToInteger(*value, out)) return Status::OK();
+  return Status::Internal("response field \"" + std::string(key) +
+                          "\" is not an integer in range");
+}
+
+/// Appends the node ids of a response's id array; Internal naming `what`
+/// when the array is absent or holds anything but in-range integers.
+Status ReadNodeIds(const JsonValue* array, std::string_view what,
+                   std::vector<NavNodeId>* out) {
+  if (array == nullptr || !array->is_array()) {
+    return Status::Internal(std::string(what) + " carries no id array");
+  }
+  for (const JsonValue& item : array->array_items()) {
+    NavNodeId id = kInvalidNavNode;
+    if (!ToInteger(item, &id)) {
+      return Status::Internal(std::string(what) +
+                              " carries a node id that is not an integer "
+                              "in range");
+    }
+    out->push_back(id);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -280,7 +325,8 @@ Result<NavClient::QueryReply> NavClient::Query(const std::string& query) {
   const JsonValue& doc = response.ValueOrDie();
   QueryReply reply;
   reply.token = doc.StringOr("token", "");
-  reply.result_size = static_cast<size_t>(doc.IntOr("result_size", 0));
+  Status read = ReadInt<size_t>(doc, "result_size", 0, &reply.result_size);
+  if (!read.ok()) return read;
   reply.cached = doc.BoolOr("cached", false);
   if (reply.token.empty()) {
     return Status::Internal("QUERY response carries no token");
@@ -297,9 +343,9 @@ Result<std::vector<NavNodeId>> NavClient::Expand(const std::string& token,
   Result<JsonValue> response = Call(request);
   if (!response.ok()) return response.status();
   std::vector<NavNodeId> ids;
-  if (!ReadNodeIds(response.ValueOrDie().Find("revealed"), &ids)) {
-    return Status::Internal("EXPAND response carries no revealed id array");
-  }
+  Status read = ReadNodeIds(response.ValueOrDie().Find("revealed"),
+                            "EXPAND response", &ids);
+  if (!read.ok()) return read;
   return ids;
 }
 
@@ -313,11 +359,12 @@ Result<NavClient::BatchExpandReply> NavClient::ExpandMany(
   if (!response.ok()) return response.status();
   const JsonValue& doc = response.ValueOrDie();
   BatchExpandReply reply;
-  reply.expanded = static_cast<uint64_t>(doc.IntOr("expanded", 0));
-  if (!ReadNodeIds(doc.Find("revealed"), &reply.revealed)) {
-    return Status::Internal(
-        "BATCH_EXPAND response carries no revealed id array");
+  Status read = ReadInt<uint64_t>(doc, "expanded", 0, &reply.expanded);
+  if (read.ok()) {
+    read = ReadNodeIds(doc.Find("revealed"), "BATCH_EXPAND response",
+                       &reply.revealed);
   }
+  if (!read.ok()) return read;
   const JsonValue* results = doc.Find("results");
   if (results == nullptr || !results->is_array()) {
     return Status::Internal("BATCH_EXPAND response carries no results array");
@@ -328,12 +375,14 @@ Result<NavClient::BatchExpandReply> NavClient::ExpandMany(
       return Status::Internal("non-object entry in results array");
     }
     BatchExpandReply::Outcome outcome;
-    outcome.node = static_cast<NavNodeId>(item.IntOr("node", kInvalidNavNode));
+    read = ReadInt(item, "node", kInvalidNavNode, &outcome.node);
+    if (!read.ok()) return read;
     outcome.ok = item.BoolOr("ok", false);
     if (outcome.ok) {
       const JsonValue* ids = item.Find("revealed");
-      if (ids != nullptr && !ReadNodeIds(ids, &outcome.revealed)) {
-        return Status::Internal("non-numeric node id in outcome");
+      if (ids != nullptr) {
+        read = ReadNodeIds(ids, "BATCH_EXPAND outcome", &outcome.revealed);
+        if (!read.ok()) return read;
       }
     } else {
       outcome.error = item.StringOr("error", "");
@@ -358,15 +407,17 @@ Result<NavClient::ShowReply> NavClient::ShowResults(const std::string& token,
   if (!response.ok()) return response.status();
   const JsonValue& doc = response.ValueOrDie();
   ShowReply reply;
-  reply.total = static_cast<size_t>(doc.IntOr("total", 0));
+  Status read = ReadInt<size_t>(doc, "total", 0, &reply.total);
+  if (!read.ok()) return read;
   const JsonValue* summaries = doc.Find("summaries");
   if (summaries == nullptr || !summaries->is_array()) {
     return Status::Internal("SHOWRESULTS response carries no summaries");
   }
   for (const JsonValue& item : summaries->array_items()) {
     CitationSummary summary;
-    summary.pmid = static_cast<uint64_t>(item.IntOr("pmid", 0));
-    summary.year = static_cast<int>(item.IntOr("year", 0));
+    read = ReadInt<uint64_t>(item, "pmid", 0, &summary.pmid);
+    if (read.ok()) read = ReadInt(item, "year", 0, &summary.year);
+    if (!read.ok()) return read;
     summary.title = item.StringOr("title", "");
     reply.summaries.push_back(std::move(summary));
   }
@@ -393,11 +444,14 @@ Result<NavClient::FindReply> NavClient::Find(const std::string& token,
   const JsonValue& doc = response.ValueOrDie();
   FindReply reply;
   reply.found = doc.BoolOr("found", false);
-  reply.node = static_cast<NavNodeId>(doc.IntOr("node", kInvalidNavNode));
   reply.visible = doc.BoolOr("visible", false);
-  reply.component_root =
-      static_cast<NavNodeId>(doc.IntOr("component_root", kInvalidNavNode));
-  reply.distinct = static_cast<int>(doc.IntOr("distinct", 0));
+  Status read = ReadInt(doc, "node", kInvalidNavNode, &reply.node);
+  if (read.ok()) {
+    read = ReadInt(doc, "component_root", kInvalidNavNode,
+                   &reply.component_root);
+  }
+  if (read.ok()) read = ReadInt(doc, "distinct", 0, &reply.distinct);
+  if (!read.ok()) return read;
   return reply;
 }
 

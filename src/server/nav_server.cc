@@ -123,32 +123,44 @@ void NavServer::Dispatch(const ConnPtr& conn, uint64_t seq,
   // scheduler handoffs of the pool round-trip — on a saturated box they
   // dominate the latency of the warm interactive case the cache exists
   // to serve. With a backlog the parse itself moves to the pool.
-  if (no_backlog) {
-    Request storage;  // Owns the decoded strings on the JSON path.
-    RequestView view;
-    std::string error_message;
-    WireError parse_error =
-        DecodeRequest(proto, payload, &storage, &view, &error_message);
-    if (parse_error != WireError::kNone || FastPathEligible(view)) {
-      ReadToDispatchHistogram()->Record(0);
-      frontend_.Complete(
-          conn, seq,
-          parse_error != WireError::kNone
-              ? HandleParseError(proto, parse_error, error_message)
-              : HandleRequest(view, proto));
-      return;
-    }
-  }
   EventLoop* loop = frontend_.loop(conn->loop_index);
-  int64_t decoded_us = SteadyNowUs();
-  pool_.Submit([this, loop, conn, seq, proto, decoded_us,
-                payload = std::move(payload)]() mutable {
-    ReadToDispatchHistogram()->Record(SteadyNowUs() - decoded_us);
-    WireFrame response = HandleFrame(proto, payload);
-    loop->RunInLoop([this, conn, seq,
-                     response = std::move(response)]() mutable {
-      frontend_.Complete(conn, seq, std::move(response));
+  auto run_on_pool = [&](auto handle) {
+    int64_t decoded_us = SteadyNowUs();
+    pool_.Submit([this, loop, conn, seq, decoded_us,
+                  handle = std::move(handle)]() mutable {
+      ReadToDispatchHistogram()->Record(SteadyNowUs() - decoded_us);
+      WireFrame response = handle();
+      loop->RunInLoop([this, conn, seq,
+                       response = std::move(response)]() mutable {
+        frontend_.Complete(conn, seq, std::move(response));
+      });
     });
+  };
+  if (!no_backlog) {
+    run_on_pool([this, proto, payload = std::move(payload)] {
+      return HandleFrame(proto, payload);
+    });
+    return;
+  }
+  Request storage;  // Owns the decoded strings on the JSON path.
+  RequestView view;
+  std::string error_message;
+  WireError parse_error =
+      DecodeRequest(proto, payload, &storage, &view, &error_message);
+  if (parse_error != WireError::kNone || FastPathEligible(view)) {
+    ReadToDispatchHistogram()->Record(0);
+    frontend_.Complete(
+        conn, seq,
+        parse_error != WireError::kNone
+            ? HandleParseError(proto, parse_error, error_message)
+            : HandleRequest(view, proto));
+    return;
+  }
+  // Parsed once: the pool gets an owned copy of the request. The view
+  // itself cannot travel, since its binary string fields point into
+  // `payload`, whose bytes do not move with it when the string is short.
+  run_on_pool([this, proto, request = ToOwnedRequest(std::move(view))] {
+    return HandleRequest(MakeRequestView(request), proto);
   });
 }
 
@@ -417,6 +429,13 @@ WireFrame NavServer::HandleFind(const RequestView& request, WireProto proto) {
   Status status = sessions_.WithSession(
       request.token, [&](NavigationSession& session) -> Status {
         const NavigationTree& nav = session.navigation_tree();
+        // The concept id is the client's: one outside the hierarchy is not
+        // in the tree, rather than a failed CHECK in the lookup.
+        if (request.concept_id < 0 ||
+            static_cast<size_t>(request.concept_id) >=
+                nav.hierarchy().size()) {
+          return Status::OK();
+        }
         node = nav.NodeOfConcept(request.concept_id);
         if (node == kInvalidNavNode) return Status::OK();
         found = true;

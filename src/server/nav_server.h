@@ -103,7 +103,9 @@ class NavServer {
   /// body runs on the compute pool — disk writes never block the reactor.
   void ArmSpillSweep();
   /// The front-end's dispatch callback: inline when `no_backlog` and the
-  /// request cannot stall the loop, on the compute pool otherwise.
+  /// request cannot stall the loop, on the compute pool otherwise. Each
+  /// request is parsed once: on the loop when `no_backlog` (the pool then
+  /// gets an owned copy), on the pool otherwise.
   void Dispatch(const ConnPtr& conn, uint64_t seq, std::string& payload,
                 bool no_backlog);
   /// True when a parsed request may execute inline on the reactor thread
@@ -113,11 +115,10 @@ class NavServer {
   bool FastPathEligible(const RequestView& request) const;
 
   /// Executes one request frame (parse + dispatch) in the connection's
-  /// encoding, returns the finished response frame. Runs on a pool thread
-  /// or inline on a reactor thread; everything it touches is thread-safe.
+  /// encoding, returns the finished response frame. Runs on a pool thread;
+  /// everything it touches is thread-safe.
   WireFrame HandleFrame(WireProto proto, const std::string& payload);
-  /// Dispatches an already-parsed request (the inline fast path parses on
-  /// the loop thread and must not pay for a second parse).
+  /// Dispatches an already-parsed request.
   WireFrame HandleRequest(const RequestView& request, WireProto proto);
   WireFrame HandleParseError(WireProto proto, WireError error,
                              const std::string& message);

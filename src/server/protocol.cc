@@ -1068,7 +1068,8 @@ WireError ValidateRequest(const R& r, FieldSet present,
   return WireError::kBadRequest;
 }
 
-/// A view over an owned Request (the JSON decode path).
+}  // namespace
+
 RequestView MakeRequestView(const Request& request) {
   RequestView view;
   view.version = request.version;
@@ -1084,7 +1085,20 @@ RequestView MakeRequestView(const Request& request) {
   return view;
 }
 
-}  // namespace
+Request ToOwnedRequest(RequestView view) {
+  Request request;
+  request.version = view.version;
+  request.op = view.op;
+  request.token = std::string(view.token);
+  request.query = std::string(view.query);
+  request.node = view.node;
+  request.nodes = std::move(view.nodes);
+  request.concept_id = view.concept_id;
+  request.retstart = view.retstart;
+  request.retmax = view.retmax;
+  request.depth = view.depth;
+  return request;
+}
 
 const char* RequestOpName(RequestOp op) { return OpSpecOf(op).name; }
 

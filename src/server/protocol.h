@@ -327,6 +327,13 @@ struct RequestView {
   int depth = 100;
 };
 
+/// A view over an owned Request; valid while `request` is alive.
+RequestView MakeRequestView(const Request& request);
+
+/// An owned copy of a decoded request, for handling it after the frame its
+/// string fields view is gone.
+Request ToOwnedRequest(RequestView view);
+
 /// One complete request frame in either encoding: a JSON line with its
 /// '\n', or a binary v2 frame.
 std::string EncodeRequestFrame(WireProto proto, const Request& request);

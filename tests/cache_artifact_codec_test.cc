@@ -202,6 +202,112 @@ std::vector<size_t> FieldOffsets(std::string_view payload) {
   return offsets;
 }
 
+enum NodeField : size_t { kConceptField = 0, kParentField = 1 };
+
+/// Rewrites one field of navigation-tree node `node` in a canonical
+/// payload; FieldOffsets lists five header fields, then (concept, parent,
+/// result-index count) per node.
+std::string WithNodeField(std::string payload, size_t node, NodeField field,
+                          int32_t value) {
+  const size_t at = FieldOffsets(payload)[5 + 3 * node + field];
+  size_t end = at;
+  uint64_t old = 0;
+  BIONAV_CHECK(ReadVarint(payload, &end, &old));
+  std::string encoded;
+  AppendVarint(&encoded, static_cast<uint64_t>(value));
+  payload.replace(at, end - at, encoded);
+  return payload;
+}
+
+/// A payload of a RandomInstance tree and a leaf `node` whose next sibling
+/// is node + 1: the two share a parent, so swapping or repeating their
+/// concepts keeps every parent and nesting check satisfied.
+struct SiblingLeaves {
+  RandomInstance inst{31, 400, 50};
+  std::string payload;
+  NavNodeId node = kInvalidNavNode;
+
+  SiblingLeaves() {
+    payload = inst.MakeBundle()->Serialize().substr(kSealedRecordHeaderBytes);
+    const NavigationTree& nav = *inst.nav;
+    for (NavNodeId id = 1; id + 1 < static_cast<NavNodeId>(nav.size());
+         ++id) {
+      if (nav.first_child(id) == kInvalidNavNode &&
+          nav.next_sibling(id) == id + 1) {
+        node = id;
+        return;
+      }
+    }
+  }
+  ConceptId concept_of(NavNodeId id) const { return inst.nav->concept_of(id); }
+};
+
+/// The decode status of `payload`, re-sealed, against the hierarchy the
+/// instance was built on.
+Status DecodeStatus(const RandomInstance& inst, const std::string& payload) {
+  return QueryArtifacts::Deserialize(inst.hierarchy, Reseal(payload)).status();
+}
+
+TEST(ArtifactCodecTest, ConceptsOutOfPreOrderAreDataLoss) {
+  SiblingLeaves f;
+  ASSERT_NE(f.node, kInvalidNavNode);
+  const size_t a = static_cast<size_t>(f.node);
+  const ConceptId first = f.concept_of(f.node);
+  const ConceptId second = f.concept_of(f.node + 1);
+  // Rewriting a node with its own concept leaves a decodable record.
+  ASSERT_TRUE(
+      DecodeStatus(f.inst, WithNodeField(f.payload, a, kConceptField, first))
+          .ok());
+  // Swapped siblings still nest correctly but leave hierarchy pre-order.
+  const std::string swapped = WithNodeField(
+      WithNodeField(f.payload, a, kConceptField, second), a + 1, kConceptField,
+      first);
+  Status status = DecodeStatus(f.inst, swapped);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("out of hierarchy pre-order"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(ArtifactCodecTest, RepeatedConceptIsDataLoss) {
+  SiblingLeaves f;
+  ASSERT_NE(f.node, kInvalidNavNode);
+  const size_t a = static_cast<size_t>(f.node);
+  Status status = DecodeStatus(
+      f.inst,
+      WithNodeField(f.payload, a + 1, kConceptField, f.concept_of(f.node)));
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("repeats concept"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ArtifactCodecTest, ParentSkippingANearerKeptAncestorIsDataLoss) {
+  // A last-child leaf under a non-root parent, re-hung from its
+  // grandparent: still a valid pre-order nesting in hierarchy order, but
+  // no maximum embedding, since the parent it skipped is kept.
+  RandomInstance inst(31, 400, 50);
+  const NavigationTree& nav = *inst.nav;
+  NavNodeId leaf = kInvalidNavNode;
+  for (NavNodeId id = 1; id < static_cast<NavNodeId>(nav.size()); ++id) {
+    if (nav.first_child(id) == kInvalidNavNode &&
+        nav.next_sibling(id) == kInvalidNavNode &&
+        nav.parent(id) != NavigationTree::kRoot) {
+      leaf = id;
+      break;
+    }
+  }
+  ASSERT_NE(leaf, kInvalidNavNode);
+  const std::string payload =
+      inst.MakeBundle()->Serialize().substr(kSealedRecordHeaderBytes);
+  const NavNodeId grandparent = nav.parent(nav.parent(leaf));
+  Status status = DecodeStatus(
+      inst, WithNodeField(payload, static_cast<size_t>(leaf), kParentField,
+                          grandparent));
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("farther kept ancestor"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(ArtifactCodecTest, ResealedMutationFuzzRejectsOrRoundTrips) {
   // Records of several RandomInstance-sized bundles, each decoded against
   // its own hierarchy.

@@ -1,6 +1,7 @@
 #include "core/navigation_tree.h"
 
 #include <set>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,19 @@
 namespace bionav {
 namespace {
 
+using ::bionav::testing::MatchesEmbedding;
+using ::bionav::testing::MatchesStructuralOracles;
 using ::bionav::testing::MiniFixture;
 using ::bionav::testing::RandomInstance;
+using ::bionav::testing::ReferenceMaximumEmbedding;
 using ::bionav::testing::ReferenceSubtreeDistinct;
+
+/// The paper-scale workload: the 48k-concept hierarchy and the ten Table-I
+/// queries.
+const Workload& PaperWorkload() {
+  static const Workload* workload = new Workload(WorkloadOptions());
+  return *workload;
+}
 
 TEST(NavigationTree, MiniFixtureStructure) {
   MiniFixture f;
@@ -165,8 +176,77 @@ TEST_P(NavigationTreePropertyTest, InvariantsOnRandomInstances) {
   }
 }
 
+TEST_P(NavigationTreePropertyTest, MatchesWholeHierarchySweep) {
+  RandomInstance inst(GetParam(), 400, 50);
+  EXPECT_TRUE(MatchesEmbedding(
+      *inst.nav, ReferenceMaximumEmbedding(inst.hierarchy,
+                                           inst.corpus->associations,
+                                           *inst.result)));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NavigationTreePropertyTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+TEST(NavigationTree, TableIQueriesMatchWholeHierarchySweep) {
+  const Workload& w = PaperWorkload();
+  ASSERT_EQ(w.num_queries(), 10u);
+  for (size_t i = 0; i < w.num_queries(); ++i) {
+    SCOPED_TRACE(w.query(i).spec.name);
+    auto nav = w.BuildNavigationTree(i);
+    const std::vector<SerializedNavNode> want = ReferenceMaximumEmbedding(
+        w.hierarchy(), w.corpus().associations, nav->result());
+    EXPECT_TRUE(MatchesEmbedding(*nav, want));
+    EXPECT_TRUE(MatchesStructuralOracles(*nav));
+    // A tree decoded from the records holds the same columns.
+    auto decoded = NavigationTree::FromSerializedNodes(
+        w.hierarchy(), nav->result_ptr(), nav->ToSerializedNodes());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(MatchesEmbedding(*decoded.ValueOrDie(), want));
+    EXPECT_TRUE(MatchesStructuralOracles(*decoded.ValueOrDie()));
+  }
+}
+
+TEST(NavigationTree, FootprintIndependentOfHierarchySize) {
+  // One citation of a Table-I query on the 48k-concept hierarchy...
+  const Workload& w = PaperWorkload();
+  const ConceptHierarchy& mesh = w.hierarchy();
+  ASSERT_EQ(mesh.size(), 48000u);
+  const CitationId citation = w.query(0).result.front();
+  const std::vector<ConceptId>& concepts =
+      w.corpus().associations.ConceptsOf(citation);
+  ASSERT_FALSE(concepts.empty());
+  NavigationTree big(mesh, w.corpus().associations,
+                     std::make_shared<const ResultSet>(
+                         std::vector<CitationId>{citation}));
+
+  // ...and on a 1k-node hierarchy holding a copy of the same concepts with
+  // their ancestor paths, padded with unrelated concepts.
+  ConceptHierarchy small;
+  std::unordered_map<ConceptId, ConceptId> copy_of = {
+      {ConceptHierarchy::kRoot, ConceptHierarchy::kRoot}};
+  for (ConceptId c : concepts) {
+    for (ConceptId a : mesh.PathFromRoot(c)) {
+      if (copy_of.count(a) == 0) {
+        copy_of[a] = small.AddNode(copy_of.at(mesh.parent(a)), mesh.label(a));
+      }
+    }
+  }
+  while (small.size() < 1000) {
+    small.AddNode(ConceptHierarchy::kRoot,
+                  "filler " + std::to_string(small.size()));
+  }
+  small.Freeze();
+  AssociationTable associations(small.size());
+  for (ConceptId c : concepts) {
+    associations.Associate(0, copy_of.at(c), AssociationKind::kAnnotated);
+  }
+  NavigationTree tiny(small, associations,
+                      std::make_shared<const ResultSet>(
+                          std::vector<CitationId>{0}));
+
+  ASSERT_EQ(tiny.size(), big.size());
+  EXPECT_EQ(tiny.MemoryFootprint(), big.MemoryFootprint());
+}
 
 }  // namespace
 }  // namespace bionav

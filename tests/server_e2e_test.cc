@@ -176,6 +176,12 @@ TEST(NavServerE2E, ProtocolErrorsAnswerTyped) {
   const std::string token = opened.ValueOrDie().token;
   EXPECT_FALSE(client.Expand(token, 999999).ok());
   EXPECT_TRUE(client.ShowResults(token, 0).ok());  // Root is visible.
+  // A concept outside the hierarchy is simply not in the tree.
+  for (ConceptId concept_id : {999999, -5}) {
+    auto found = client.Find(token, concept_id);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_FALSE(found.ValueOrDie().found);
+  }
 
   // Malformed line on a raw socket: the server answers BAD_REQUEST and
   // keeps serving the connection.

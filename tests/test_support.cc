@@ -111,6 +111,83 @@ bool IsAncestorByParent(const NavigationTree& nav, NavNodeId a, NavNodeId u) {
 
 }  // namespace
 
+std::vector<SerializedNavNode> ReferenceMaximumEmbedding(
+    const ConceptHierarchy& hierarchy, const AssociationTable& associations,
+    const ResultSet& result) {
+  // L(c) per concept, ascending because result indexes are visited in order.
+  std::vector<std::vector<uint32_t>> attached(hierarchy.size());
+  for (size_t i = 0; i < result.size(); ++i) {
+    for (ConceptId c : associations.ConceptsOf(result.citation(i))) {
+      std::vector<uint32_t>& list = attached[static_cast<size_t>(c)];
+      if (list.empty() || list.back() != i) {
+        list.push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
+  std::vector<NavNodeId> node_of(hierarchy.size(), kInvalidNavNode);
+  std::vector<SerializedNavNode> nodes;
+  hierarchy.PreOrder([&](ConceptId c) {
+    if (c != ConceptHierarchy::kRoot &&
+        attached[static_cast<size_t>(c)].empty()) {
+      return;
+    }
+    SerializedNavNode node;
+    node.concept_id = c;
+    for (ConceptId a = hierarchy.parent(c); a != kInvalidConcept;
+         a = hierarchy.parent(a)) {
+      if (node_of[static_cast<size_t>(a)] != kInvalidNavNode) {
+        node.parent = node_of[static_cast<size_t>(a)];
+        break;
+      }
+    }
+    node.global_count = associations.GlobalCount(c);
+    node.result_indexes = attached[static_cast<size_t>(c)];
+    node_of[static_cast<size_t>(c)] = static_cast<NavNodeId>(nodes.size());
+    nodes.push_back(std::move(node));
+  });
+  return nodes;
+}
+
+::testing::AssertionResult MatchesEmbedding(
+    const NavigationTree& nav, const std::vector<SerializedNavNode>& want) {
+  if (nav.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "tree has " << nav.size() << " nodes, the reference "
+           << want.size();
+  }
+  for (NavNodeId id = 0; id < static_cast<NavNodeId>(want.size()); ++id) {
+    const SerializedNavNode& ref = want[static_cast<size_t>(id)];
+    std::vector<uint32_t> results;
+    for (size_t i : nav.results(id).ToIndexes()) {
+      results.push_back(static_cast<uint32_t>(i));
+    }
+    if (nav.concept_of(id) != ref.concept_id || nav.parent(id) != ref.parent ||
+        nav.global_count(id) != ref.global_count ||
+        results != ref.result_indexes) {
+      return ::testing::AssertionFailure()
+             << "node " << id << " holds concept " << nav.concept_of(id)
+             << " under " << nav.parent(id) << " (|L| " << results.size()
+             << ", |LT| " << nav.global_count(id) << "), the reference "
+             << ref.concept_id << " under " << ref.parent << " (|L| "
+             << ref.result_indexes.size() << ", |LT| " << ref.global_count
+             << ")";
+    }
+  }
+  const ConceptHierarchy& hierarchy = nav.hierarchy();
+  std::vector<NavNodeId> dense(hierarchy.size(), kInvalidNavNode);
+  for (size_t i = 0; i < want.size(); ++i) {
+    dense[static_cast<size_t>(want[i].concept_id)] = static_cast<NavNodeId>(i);
+  }
+  for (ConceptId c = 0; c < static_cast<ConceptId>(hierarchy.size()); ++c) {
+    if (nav.NodeOfConcept(c) != dense[static_cast<size_t>(c)]) {
+      return ::testing::AssertionFailure()
+             << "NodeOfConcept(" << c << ") = " << nav.NodeOfConcept(c)
+             << ", the dense index says " << dense[static_cast<size_t>(c)];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 int ReferenceSubtreeDistinct(const NavigationTree& nav, NavNodeId id) {
   std::set<size_t> seen;
   for (NavNodeId u = 0; u < static_cast<NavNodeId>(nav.size()); ++u) {

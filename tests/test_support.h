@@ -57,6 +57,22 @@ struct RandomInstance {
   std::shared_ptr<const QueryArtifacts> MakeBundle() const;
 };
 
+/// Oracle of the maximum embedding (Definition 2) by a sweep of the whole
+/// hierarchy in PreOrder(): the root and every concept that received a
+/// result citation are kept, in visit order, each under its nearest kept
+/// ancestor found by walking hierarchy parents. Returns the pre-order node
+/// records (concept, parent, |LT(n)|, L(n)) a correct tree must hold.
+std::vector<SerializedNavNode> ReferenceMaximumEmbedding(
+    const ConceptHierarchy& hierarchy, const AssociationTable& associations,
+    const ResultSet& result);
+
+/// Checks that the tree's concept, parent, L(n) and global-count columns
+/// equal `want` node for node, and that NodeOfConcept answers what a dense
+/// concept index built from `want` answers, for every hierarchy concept
+/// (kInvalidNavNode for the absent ones).
+::testing::AssertionResult MatchesEmbedding(
+    const NavigationTree& nav, const std::vector<SerializedNavNode>& want);
+
 /// Brute-force reference: distinct citations attached in the navigation
 /// subtree of `id`, computed without bitsets from parent() links alone.
 int ReferenceSubtreeDistinct(const NavigationTree& nav, NavNodeId id);
