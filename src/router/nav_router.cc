@@ -25,8 +25,8 @@ constexpr size_t kNoBackend = static_cast<size_t>(-1);
 
 /// Success peek without a full decode: a binary response body is
 /// [version][flags][op] with flags bit0 = ok; a JSON response line always
-/// opens {"v":1,"ok":... (ResponseBuilder / WireResponse / ErrorReply all
-/// emit the members in that order). Only non-OK frames and QUERY replies
+/// opens {"v":1,"ok":... (WireResponse emits every reply, errors included,
+/// with the members in that order). Only non-OK frames and QUERY replies
 /// pay for a real decode.
 bool PeekResponseOk(WireProto proto, const std::string& frame) {
   if (proto == WireProto::kBinary) {
@@ -36,12 +36,13 @@ bool PeekResponseOk(WireProto proto, const std::string& frame) {
   return frame.compare(0, 16, "{\"v\":1,\"ok\":true") == 0;
 }
 
-/// Full response decode for the frames that need field access (pin
-/// learning, error typing): one document shape for both encodings.
-Result<JsonValue> DecodeResponseDoc(WireProto proto,
-                                    const std::string& frame) {
-  if (proto == WireProto::kBinary) return DecodeBinaryResponse(frame);
-  return ParseJson(frame);
+/// Full typed decode of the reply to `op`, for the frames that need field
+/// access (pin learning, error typing).
+Result<Response> DecodeReply(WireProto proto, std::string_view frame,
+                             RequestOp op) {
+  Result<JsonValue> doc = DecodeResponse(proto, frame);
+  if (!doc.ok()) return doc.status();
+  return ReadResponse(op, doc.ValueOrDie());
 }
 
 /// Re-frames a relayed payload for the wire: binary frames regain their
@@ -190,7 +191,8 @@ void NavRouter::RouteFrame(const ConnPtr& conn, uint64_t seq,
       frontend_.Complete(conn, seq, BuildAggregatedStats(conn->proto));
       return;
     case RequestOp::kMetrics:
-      frontend_.Complete(conn, seq, BuildMetricsFrame(conn->proto));
+      frontend_.Complete(
+          conn, seq, MetricsReply(conn->proto, GlobalMetrics().ToPrometheusText()));
       return;
     case RequestOp::kQuery: {
       int chosen = ChooseQueryBackend(NormalizeQueryKey(view.query));
@@ -363,7 +365,6 @@ void NavRouter::ForwardToBackend(const ConnPtr& conn, uint64_t seq,
   pending.seq = seq;
   pending.op = view.op;
   pending.token = std::string(view.token);
-  pending.learn_token = view.op == RequestOp::kQuery;
   pending.sent_us = SteadyNowUs();
   up->pending.push_back(std::move(pending));
   forwarded_.fetch_add(1, std::memory_order_relaxed);
@@ -580,14 +581,17 @@ void NavRouter::ReadUpstream(const UpPtr& up) {
     if (up->decoder.Next(&line)) {
       WireError error = WireError::kRetryLater;
       std::string message = "backend shed this connection";
-      Result<JsonValue> parsed = ParseJson(line);
-      if (parsed.ok()) {
-        const JsonValue& doc = parsed.ValueOrDie();
-        if (doc.StringOr("error", "") ==
+      // A shed or drain line is an error reply, read alike for every op.
+      Result<Response> reply =
+          DecodeReply(WireProto::kJson, line, RequestOp::kQuery);
+      if (reply.ok() && !reply.ValueOrDie().ok) {
+        if (reply.ValueOrDie().error ==
             WireErrorName(WireError::kShuttingDown)) {
           error = WireError::kShuttingDown;
         }
-        message = doc.StringOr("message", message);
+        if (!reply.ValueOrDie().message.empty()) {
+          message = reply.ValueOrDie().message;
+        }
       }
       FailUpstream(up, error, message, false);
       return;
@@ -631,18 +635,18 @@ void NavRouter::HandleUpstreamFrame(const UpPtr& up,
   RecordBackendSuccess(up->backend_index);
 
   bool ok = PeekResponseOk(up->proto, frame);
-  if (ok && pending.learn_token) {
-    Result<JsonValue> doc = DecodeResponseDoc(up->proto, frame);
-    if (doc.ok()) {
-      std::string token = doc.ValueOrDie().StringOr("token", "");
-      if (!token.empty()) PinSession(token, up->backend_index);
+  if (ok && pending.op == RequestOp::kQuery) {
+    // Learn the new session's token→shard pin.
+    Result<Response> reply = DecodeReply(up->proto, frame, pending.op);
+    if (reply.ok() && reply.ValueOrDie().ok) {
+      PinSession(reply.ValueOrDie().token, up->backend_index);
     }
   } else if (ok && pending.op == RequestOp::kClose) {
     UnpinSession(pending.token);
   } else if (!ok) {
-    Result<JsonValue> doc = DecodeResponseDoc(up->proto, frame);
-    if (doc.ok() && doc.ValueOrDie().StringOr("error", "") ==
-                        WireErrorName(WireError::kUnknownSession)) {
+    Result<Response> reply = DecodeReply(up->proto, frame, pending.op);
+    if (reply.ok() && reply.ValueOrDie().error ==
+                          WireErrorName(WireError::kUnknownSession)) {
       // The shard no longer knows the session (evicted, expired): the pin
       // is stale, drop it so a recreated token can re-place freely.
       UnpinSession(pending.token);
@@ -1051,23 +1055,14 @@ WireFrame NavRouter::BuildAggregatedStats(WireProto proto) const {
   }
   backends_json += "]";
 
-  std::string line = ResponseBuilder(RequestOp::kStats)
-                         .Add("role", std::string_view("router"))
-                         .AddRaw("router", router_json)
-                         .AddRaw("fleet", fleet_json)
-                         .AddRaw("hot_keys", hot_json)
-                         .AddRaw("backends", backends_json)
-                         .AddRaw("metrics", GlobalMetrics().ToJson())
-                         .Finish();
-  return WrapWholeJson(proto, std::move(line));
-}
-
-WireFrame NavRouter::BuildMetricsFrame(WireProto proto) const {
-  std::string line =
-      ResponseBuilder(RequestOp::kMetrics)
-          .Add("text", std::string_view(GlobalMetrics().ToPrometheusText()))
-          .Finish();
-  return WrapWholeJson(proto, std::move(line));
+  return WireResponse(proto, RequestOp::kStats)
+      .Add("role", "router")
+      .Add("router", RawJson{router_json})
+      .Add("fleet", RawJson{fleet_json})
+      .Add("hot_keys", RawJson{hot_json})
+      .Add("backends", RawJson{backends_json})
+      .Add("metrics", RawJson{GlobalMetrics().ToJson()})
+      .Finish();
 }
 
 WireFrame NavRouter::BuildTopologyFrame(WireProto proto) const {
@@ -1091,16 +1086,13 @@ WireFrame NavRouter::BuildTopologyFrame(WireProto proto) const {
   backends_json += "]";
   // The seed travels as a decimal string: ring seeds exceed 2^53, past
   // what a JSON number survives through double-precision parsers.
-  std::string line =
-      ResponseBuilder(RequestOp::kTopology)
-          .Add("generation",
-               static_cast<int64_t>(
-                   generation_.load(std::memory_order_acquire)))
-          .Add("vnodes", static_cast<int64_t>(options_.ring_vnodes))
-          .Add("seed", std::to_string(options_.ring_seed))
-          .AddRaw("backends", backends_json)
-          .Finish();
-  return WrapWholeJson(proto, std::move(line));
+  return WireResponse(proto, RequestOp::kTopology)
+      .Add("generation",
+           static_cast<int64_t>(generation_.load(std::memory_order_acquire)))
+      .Add("vnodes", static_cast<int64_t>(options_.ring_vnodes))
+      .Add("seed", std::to_string(options_.ring_seed))
+      .Add("backends", RawJson{backends_json})
+      .Finish();
 }
 
 // ---------------------------------------------------------------------------

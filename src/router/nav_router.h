@@ -183,8 +183,6 @@ class NavRouter {
     /// Session token (token ops) for pin maintenance on CLOSE and
     /// UNKNOWN_SESSION responses.
     std::string token;
-    /// QUERY: decode the response to learn its token→shard pin.
-    bool learn_token = false;
     int64_t sent_us = 0;
   };
 
@@ -336,7 +334,6 @@ class NavRouter {
 
   // --- Local answers ---
   WireFrame BuildAggregatedStats(WireProto proto) const;
-  WireFrame BuildMetricsFrame(WireProto proto) const;
   /// The shard map for client-side routing: generation, ring geometry
   /// (seed as a decimal string — it exceeds what a JSON double carries)
   /// and per-backend address/health/draining.

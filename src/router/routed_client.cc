@@ -1,6 +1,5 @@
 #include "router/routed_client.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "cache/query_artifacts.h"
@@ -40,36 +39,12 @@ Status RoutedNavClient::RefreshTopology() {
     if (IsTransportFailure(response.status())) proxy_.reset();
     return response.status();
   }
-  const JsonValue& doc = response.ValueOrDie();
-  FleetTopology parsed;
-  parsed.generation = static_cast<uint64_t>(doc.IntOr("generation", 0));
-  parsed.vnodes = static_cast<int>(doc.IntOr("vnodes", 128));
-  // The seed travels as a decimal string: ring seeds exceed 2^53, past
-  // what a JSON number survives through double-precision parsers.
-  std::string seed = doc.StringOr("seed", "");
-  if (seed.empty()) {
-    return Status::Internal("TOPOLOGY response carries no seed");
-  }
-  parsed.seed = std::strtoull(seed.c_str(), nullptr, 10);
-  const JsonValue* backends = doc.Find("backends");
-  if (backends == nullptr || !backends->is_array()) {
-    return Status::Internal("TOPOLOGY response carries no backends");
-  }
-  for (const JsonValue& item : backends->array_items()) {
-    if (!item.is_object()) {
-      return Status::Internal("non-object entry in backends array");
-    }
-    TopologyBackend backend;
-    backend.id = item.StringOr("id", "");
-    backend.host = item.StringOr("host", "");
-    backend.port = static_cast<int>(item.IntOr("port", 0));
-    backend.state = item.StringOr("state", "");
-    backend.draining = item.BoolOr("draining", false);
-    if (backend.id.empty() || backend.host.empty() || backend.port == 0) {
-      return Status::Internal("TOPOLOGY backend entry is incomplete");
-    }
-    parsed.backends.push_back(std::move(backend));
-  }
+  // The typed step checks every member: a port in 1-65535, vnodes within
+  // int32 and at least 1, the seed a whole decimal uint64.
+  Result<Response> reply =
+      ReadResponse(RequestOp::kTopology, response.ValueOrDie());
+  if (!reply.ok()) return reply.status();
+  FleetTopology parsed = std::move(reply.ValueOrDie().topology);
   // Same geometry + same membership => the client's ring agrees with the
   // router's about every key's owner, with no per-request coordination.
   HashRingOptions ring_options;

@@ -14,29 +14,6 @@
 
 namespace bionav {
 
-/// One backend as the TOPOLOGY op describes it.
-struct TopologyBackend {
-  std::string id;
-  std::string host;
-  int port = 0;
-  /// Router-side health state name ("healthy", "unhealthy", "halfopen").
-  std::string state;
-  bool draining = false;
-};
-
-/// The routing tier's shard map, as served by TOPOLOGY: enough for a
-/// client to rebuild the placement ring locally (same seed + vnodes +
-/// backend ids => identical ownership, no coordination needed) and dial
-/// backends directly. `generation` bumps whenever membership or health
-/// changes; a client holding a stale generation falls back to the proxy
-/// and refreshes.
-struct FleetTopology {
-  uint64_t generation = 0;
-  int vnodes = 128;
-  uint64_t seed = 0;
-  std::vector<TopologyBackend> backends;
-};
-
 struct RoutedNavClientOptions {
   /// Options applied to every connection (proxy and backends).
   NavClientOptions client;

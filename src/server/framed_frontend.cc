@@ -24,8 +24,9 @@ namespace {
 /// line, so a single non-blocking send suffices. Shed replies are always
 /// JSON: they may fire before the peer's first byte decides its protocol,
 /// and a binary client recognizes the '{' as the JSON fallback signal.
-void SendLineBestEffort(int fd, std::string line) {
-  line.push_back('\n');
+void SendErrorBestEffort(int fd, WireError error, std::string_view message) {
+  const std::string line =
+      WireResponse::Error(WireProto::kJson, error, message).head;
   [[maybe_unused]] ssize_t n =
       ::send(fd, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
 }
@@ -161,8 +162,7 @@ void FramedFrontend::OnAcceptable() {
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     accepted_total_->Increment();
     if (shutting_down()) {
-      SendLineBestEffort(
-          fd, ErrorReply(WireError::kShuttingDown, draining_message_));
+      SendErrorBestEffort(fd, WireError::kShuttingDown, draining_message_);
       ::close(fd);
       continue;
     }
@@ -175,8 +175,8 @@ void FramedFrontend::OnAcceptable() {
         options_.max_connections) {
       connections_shed_.fetch_add(1, std::memory_order_relaxed);
       shed_total_->Increment();
-      SendLineBestEffort(fd, ErrorReply(WireError::kRetryLater,
-                                        role_ + " at capacity, retry later"));
+      SendErrorBestEffort(fd, WireError::kRetryLater,
+                          role_ + " at capacity, retry later");
       ::close(fd);
       continue;
     }
@@ -206,8 +206,8 @@ void FramedFrontend::AdmitConnection(int fd) {
     if (shutting_down()) {
       // Raced with drain: this connection would never be drained by
       // Shutdown's sweep, so refuse it here.
-      SendLineBestEffort(
-          conn->fd, ErrorReply(WireError::kShuttingDown, draining_message_));
+      SendErrorBestEffort(conn->fd, WireError::kShuttingDown,
+                          draining_message_);
       ::close(conn->fd);
       conn->closed = true;
       ReleaseOpenSlot();

@@ -68,60 +68,6 @@ Status ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t addrlen,
   return status;
 }
 
-/// Reads a reply number as a `T`: true only when it is integral and inside
-/// T's range, the rule the request decoders apply. A reply is input like a
-/// request, so 1e300 must not reach an undefined double conversion and
-/// 2^40 must not wrap into a valid-looking id.
-template <typename T>
-bool ToInteger(const JsonValue& value, T* out) {
-  if (!value.is_number()) return false;
-  if (value.exact_uint()) {  // Integer literals stay exact past 2^53.
-    if (*value.exact_uint() >
-        static_cast<uint64_t>(std::numeric_limits<T>::max())) {
-      return false;
-    }
-    *out = static_cast<T>(*value.exact_uint());
-    return true;
-  }
-  const double d = value.number_value();
-  // [lo, hi) bounds every T exactly: hi = 2^digits, lo = -hi or 0.
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
-  if (d != std::trunc(d) || !(d >= lo && d < hi)) return false;
-  *out = static_cast<T>(d);
-  return true;
-}
-
-/// Reads integer member `key` of a reply into `*out`; an absent member
-/// leaves `def`. A member that is not such an integer is Internal.
-template <typename T>
-Status ReadInt(const JsonValue& doc, std::string_view key, T def, T* out) {
-  *out = def;
-  const JsonValue* value = doc.Find(key);
-  if (value == nullptr || ToInteger(*value, out)) return Status::OK();
-  return Status::Internal("response field \"" + std::string(key) +
-                          "\" is not an integer in range");
-}
-
-/// Appends the node ids of a response's id array; Internal naming `what`
-/// when the array is absent or holds anything but in-range integers.
-Status ReadNodeIds(const JsonValue* array, std::string_view what,
-                   std::vector<NavNodeId>* out) {
-  if (array == nullptr || !array->is_array()) {
-    return Status::Internal(std::string(what) + " carries no id array");
-  }
-  for (const JsonValue& item : array->array_items()) {
-    NavNodeId id = kInvalidNavNode;
-    if (!ToInteger(item, &id)) {
-      return Status::Internal(std::string(what) +
-                              " carries a node id that is not an integer "
-                              "in range");
-    }
-    out->push_back(id);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<NavClient>> NavClient::Connect(
@@ -216,87 +162,51 @@ Status NavClient::Send(const Request& request) {
   return Status::OK();
 }
 
-Result<JsonValue> NavClient::Receive() {
-  // One response frame per request, in order (the server releases pipelined
-  // responses in arrival order, so Receive N pairs with Send N).
-  if (proto_ == WireProto::kBinary && !json_fallback_) {
-    std::string body;
-    while (true) {
-      if (bdecoder_.Next(&body)) {
-        Result<JsonValue> decoded = DecodeBinaryResponse(body);
-        if (!decoded.ok()) {
-          return Status::Internal("malformed binary response from server: " +
-                                  decoded.status().message());
-        }
-        return decoded;
-      }
-      if (bdecoder_.broken()) {
-        return Status::Internal("malformed binary response frame");
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n > 0) {
-        if (!saw_response_byte_) {
-          saw_response_byte_ = true;
-          if (chunk[0] == '{') {
-            // The server answered in JSON before reading our preamble
-            // (accept-path shedding) — it is about to close. Fall back to
-            // line framing so the typed error surfaces normally.
-            json_fallback_ = true;
-            if (!decoder_.Feed(
-                    std::string_view(chunk, static_cast<size_t>(n)))) {
-              return Status::Internal(
-                  "response frame exceeds client frame limit");
-            }
-            break;  // Continue on the JSON loop below.
-          }
-        }
-        if (!bdecoder_.Feed(std::string_view(chunk,
-                                             static_cast<size_t>(n)))) {
-          return Status::Internal("malformed binary response frame");
-        }
-        continue;
-      }
-      if (n == 0) {
-        return Status::IOError("connection closed before response");
-      }
+Status NavClient::ReadFrame(std::string* payload) {
+  while (true) {
+    const bool binary = proto_ == WireProto::kBinary && !json_fallback_;
+    if (binary ? bdecoder_.Next(payload) : decoder_.Next(payload)) {
+      return Status::OK();
+    }
+    if (binary && bdecoder_.broken()) {
+      return Status::Internal("malformed binary response frame");
+    }
+    char chunk[4096];
+    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n == 0) return Status::IOError("connection closed before response");
+    if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // SO_RCVTIMEO expired with the response still outstanding.
         return Status::DeadlineExceeded("timed out waiting for response");
       }
       return Status::IOError(std::string("recv: ") + std::strerror(errno));
     }
-  }
-  std::string response;
-  while (!decoder_.Next(&response)) {
-    char chunk[4096];
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      saw_response_byte_ = true;
-      if (!decoder_.Feed(std::string_view(chunk, static_cast<size_t>(n)))) {
-        return Status::Internal("response frame exceeds client frame limit");
+    if (binary && !saw_response_byte_ && chunk[0] == '{') {
+      // The server answered in JSON before reading our preamble
+      // (accept-path shedding) — it is about to close. Fall back to line
+      // framing so the typed error surfaces normally.
+      json_fallback_ = true;
+    }
+    saw_response_byte_ = true;
+    const std::string_view bytes(chunk, static_cast<size_t>(n));
+    if (binary && !json_fallback_) {
+      if (!bdecoder_.Feed(bytes)) {
+        return Status::Internal("malformed binary response frame");
       }
-      continue;
+    } else if (!decoder_.Feed(bytes)) {
+      return Status::Internal("response frame exceeds client frame limit");
     }
-    if (n == 0) {
-      return Status::IOError("connection closed before response");
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // SO_RCVTIMEO expired with the response still outstanding.
-      return Status::DeadlineExceeded("timed out waiting for response");
-    }
-    return Status::IOError(std::string("recv: ") + std::strerror(errno));
   }
-  Result<JsonValue> parsed = ParseJson(response);
-  if (!parsed.ok()) {
-    return Status::Internal("malformed response from server: " +
-                            parsed.status().message());
-  }
-  if (!parsed.ValueOrDie().is_object()) {
-    return Status::Internal("response is not a JSON object");
-  }
-  return parsed;
+}
+
+Result<JsonValue> NavClient::Receive() {
+  // One response frame per request, in order (the server releases pipelined
+  // responses in arrival order, so Receive N pairs with Send N).
+  std::string payload;
+  Status read = ReadFrame(&payload);
+  if (!read.ok()) return read;
+  return DecodeResponse(json_fallback_ ? WireProto::kJson : proto_, payload);
 }
 
 Result<JsonValue> NavClient::CallRaw(const Request& request) {
@@ -305,33 +215,22 @@ Result<JsonValue> NavClient::CallRaw(const Request& request) {
   return Receive();
 }
 
-Result<JsonValue> NavClient::Call(const Request& request) {
-  Result<JsonValue> response = CallRaw(request);
-  if (!response.ok()) return response;
-  const JsonValue& doc = response.ValueOrDie();
-  if (!doc.BoolOr("ok", false)) {
-    return StatusFromWireError(doc.StringOr("error", "INTERNAL"),
-                               doc.StringOr("message", ""));
+Result<Response> NavClient::Call(const Request& request) {
+  Result<JsonValue> doc = CallRaw(request);
+  if (!doc.ok()) return doc.status();
+  Result<Response> reply = ReadResponse(request.op, doc.ValueOrDie());
+  if (reply.ok() && !reply.ValueOrDie().ok) {
+    return StatusFromWireError(reply.ValueOrDie().error,
+                               reply.ValueOrDie().message);
   }
-  return response;
+  return reply;
 }
 
 Result<NavClient::QueryReply> NavClient::Query(const std::string& query) {
   Request request;
   request.op = RequestOp::kQuery;
   request.query = query;
-  Result<JsonValue> response = Call(request);
-  if (!response.ok()) return response.status();
-  const JsonValue& doc = response.ValueOrDie();
-  QueryReply reply;
-  reply.token = doc.StringOr("token", "");
-  Status read = ReadInt<size_t>(doc, "result_size", 0, &reply.result_size);
-  if (!read.ok()) return read;
-  reply.cached = doc.BoolOr("cached", false);
-  if (reply.token.empty()) {
-    return Status::Internal("QUERY response carries no token");
-  }
-  return reply;
+  return Call(request);
 }
 
 Result<std::vector<NavNodeId>> NavClient::Expand(const std::string& token,
@@ -340,13 +239,9 @@ Result<std::vector<NavNodeId>> NavClient::Expand(const std::string& token,
   request.op = RequestOp::kExpand;
   request.token = token;
   request.node = node;
-  Result<JsonValue> response = Call(request);
+  Result<Response> response = Call(request);
   if (!response.ok()) return response.status();
-  std::vector<NavNodeId> ids;
-  Status read = ReadNodeIds(response.ValueOrDie().Find("revealed"),
-                            "EXPAND response", &ids);
-  if (!read.ok()) return read;
-  return ids;
+  return std::move(response.ValueOrDie().revealed);
 }
 
 Result<NavClient::BatchExpandReply> NavClient::ExpandMany(
@@ -355,42 +250,7 @@ Result<NavClient::BatchExpandReply> NavClient::ExpandMany(
   request.op = RequestOp::kBatchExpand;
   request.token = token;
   request.nodes = nodes;
-  Result<JsonValue> response = Call(request);
-  if (!response.ok()) return response.status();
-  const JsonValue& doc = response.ValueOrDie();
-  BatchExpandReply reply;
-  Status read = ReadInt<uint64_t>(doc, "expanded", 0, &reply.expanded);
-  if (read.ok()) {
-    read = ReadNodeIds(doc.Find("revealed"), "BATCH_EXPAND response",
-                       &reply.revealed);
-  }
-  if (!read.ok()) return read;
-  const JsonValue* results = doc.Find("results");
-  if (results == nullptr || !results->is_array()) {
-    return Status::Internal("BATCH_EXPAND response carries no results array");
-  }
-  reply.outcomes.reserve(results->array_items().size());
-  for (const JsonValue& item : results->array_items()) {
-    if (!item.is_object()) {
-      return Status::Internal("non-object entry in results array");
-    }
-    BatchExpandReply::Outcome outcome;
-    read = ReadInt(item, "node", kInvalidNavNode, &outcome.node);
-    if (!read.ok()) return read;
-    outcome.ok = item.BoolOr("ok", false);
-    if (outcome.ok) {
-      const JsonValue* ids = item.Find("revealed");
-      if (ids != nullptr) {
-        read = ReadNodeIds(ids, "BATCH_EXPAND outcome", &outcome.revealed);
-        if (!read.ok()) return read;
-      }
-    } else {
-      outcome.error = item.StringOr("error", "");
-      outcome.message = item.StringOr("message", "");
-    }
-    reply.outcomes.push_back(std::move(outcome));
-  }
-  return reply;
+  return Call(request);
 }
 
 Result<NavClient::ShowReply> NavClient::ShowResults(const std::string& token,
@@ -403,34 +263,16 @@ Result<NavClient::ShowReply> NavClient::ShowResults(const std::string& token,
   request.node = node;
   request.retstart = retstart;
   request.retmax = retmax;
-  Result<JsonValue> response = Call(request);
-  if (!response.ok()) return response.status();
-  const JsonValue& doc = response.ValueOrDie();
-  ShowReply reply;
-  Status read = ReadInt<size_t>(doc, "total", 0, &reply.total);
-  if (!read.ok()) return read;
-  const JsonValue* summaries = doc.Find("summaries");
-  if (summaries == nullptr || !summaries->is_array()) {
-    return Status::Internal("SHOWRESULTS response carries no summaries");
-  }
-  for (const JsonValue& item : summaries->array_items()) {
-    CitationSummary summary;
-    read = ReadInt<uint64_t>(item, "pmid", 0, &summary.pmid);
-    if (read.ok()) read = ReadInt(item, "year", 0, &summary.year);
-    if (!read.ok()) return read;
-    summary.title = item.StringOr("title", "");
-    reply.summaries.push_back(std::move(summary));
-  }
-  return reply;
+  return Call(request);
 }
 
 Result<bool> NavClient::Backtrack(const std::string& token) {
   Request request;
   request.op = RequestOp::kBacktrack;
   request.token = token;
-  Result<JsonValue> response = Call(request);
+  Result<Response> response = Call(request);
   if (!response.ok()) return response.status();
-  return response.ValueOrDie().BoolOr("undone", false);
+  return response.ValueOrDie().undone;
 }
 
 Result<NavClient::FindReply> NavClient::Find(const std::string& token,
@@ -439,20 +281,7 @@ Result<NavClient::FindReply> NavClient::Find(const std::string& token,
   request.op = RequestOp::kFind;
   request.token = token;
   request.concept_id = concept_id;
-  Result<JsonValue> response = Call(request);
-  if (!response.ok()) return response.status();
-  const JsonValue& doc = response.ValueOrDie();
-  FindReply reply;
-  reply.found = doc.BoolOr("found", false);
-  reply.visible = doc.BoolOr("visible", false);
-  Status read = ReadInt(doc, "node", kInvalidNavNode, &reply.node);
-  if (read.ok()) {
-    read = ReadInt(doc, "component_root", kInvalidNavNode,
-                   &reply.component_root);
-  }
-  if (read.ok()) read = ReadInt(doc, "distinct", 0, &reply.distinct);
-  if (!read.ok()) return read;
-  return reply;
+  return Call(request);
 }
 
 Result<std::string> NavClient::View(const std::string& token, int depth) {
@@ -460,53 +289,43 @@ Result<std::string> NavClient::View(const std::string& token, int depth) {
   request.op = RequestOp::kView;
   request.token = token;
   request.depth = depth;
-  Result<JsonValue> response = Call(request);
+  Result<Response> response = Call(request);
   if (!response.ok()) return response.status();
-  const JsonValue* tree = response.ValueOrDie().Find("tree");
-  if (tree == nullptr) {
-    return Status::Internal("VIEW response carries no tree");
-  }
-  return WriteJson(*tree);
+  return WriteJson(response.ValueOrDie().tree);
 }
 
 Status NavClient::CloseSession(const std::string& token) {
   Request request;
   request.op = RequestOp::kClose;
   request.token = token;
-  Result<JsonValue> response = Call(request);
+  Result<Response> response = Call(request);
   return response.ok() ? Status::OK() : response.status();
 }
 
 Result<JsonValue> NavClient::Stats() {
   Request request;
   request.op = RequestOp::kStats;
-  return Call(request);
+  Result<Response> response = Call(request);
+  if (!response.ok()) return response.status();
+  return std::move(response.ValueOrDie().document);
 }
 
 Result<std::string> NavClient::Metrics() {
   Request request;
   request.op = RequestOp::kMetrics;
-  Result<JsonValue> response = Call(request);
+  Result<Response> response = Call(request);
   if (!response.ok()) return response.status();
-  const JsonValue* text = response.ValueOrDie().Find("text");
-  if (text == nullptr || !text->is_string()) {
-    return Status::Internal("METRICS response carries no text");
-  }
-  return text->string_value();
+  return std::move(response.ValueOrDie().text);
 }
 
 Result<std::string> NavClient::FetchArtifact(const std::string& key) {
   Request request;
   request.op = RequestOp::kFetchArtifact;
   request.query = key;
-  Result<JsonValue> response = Call(request);
+  Result<Response> response = Call(request);
   if (!response.ok()) return response.status();
-  const JsonValue* artifact = response.ValueOrDie().Find("artifact");
-  if (artifact == nullptr || !artifact->is_string()) {
-    return Status::Internal("FETCH_ARTIFACT response carries no artifact");
-  }
   std::string record;
-  if (!Base64Decode(artifact->string_value(), &record)) {
+  if (!Base64Decode(response.ValueOrDie().artifact, &record)) {
     return Status::Internal("FETCH_ARTIFACT artifact is not valid base64");
   }
   return record;
@@ -515,7 +334,9 @@ Result<std::string> NavClient::FetchArtifact(const std::string& key) {
 Result<JsonValue> NavClient::Topology() {
   Request request;
   request.op = RequestOp::kTopology;
-  return Call(request);
+  Result<Response> response = Call(request);
+  if (!response.ok()) return response.status();
+  return std::move(response.ValueOrDie().document);
 }
 
 }  // namespace bionav

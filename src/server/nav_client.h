@@ -19,10 +19,11 @@ struct NavClientOptions {
   int64_t recv_timeout_ms = 0;
   /// Wire encoding. kBinary sends the "BNV2" preamble right after connect
   /// and speaks length-prefixed v2 frames both ways; the typed wrappers
-  /// below are encoding-agnostic (binary responses decode into the same
-  /// JsonValue document a JSON line parses to). A pre-negotiation JSON
-  /// reply (accept-path shedding answers before reading the preamble) is
-  /// recognized by its '{' first byte and handled transparently.
+  /// below are encoding-agnostic (DecodeResponse yields the same document
+  /// from either encoding, and ReadResponse the same typed reply). A
+  /// pre-negotiation JSON reply (accept-path shedding answers before
+  /// reading the preamble) is recognized by its '{' first byte and handled
+  /// transparently.
   WireProto proto = WireProto::kJson;
   /// Extra connect attempts after a failed first try, with full-jitter
   /// capped exponential backoff between attempts: each retry sleeps
@@ -62,54 +63,33 @@ class NavClient {
   Status Send(const Request& request);
   Result<JsonValue> Receive();
 
-  struct QueryReply {
-    std::string token;
-    size_t result_size = 0;
-    /// The session was served from the server's query-artifact cache.
-    bool cached = false;
-  };
+  /// The typed replies of QUERY (token, result_size, and cached: served
+  /// from the server's query-artifact cache), BATCH_EXPAND (expanded: cuts
+  /// applied; revealed: the combined frontier in apply order; outcomes:
+  /// one per requested node, in order), SHOWRESULTS (total, summaries) and
+  /// FIND (found, node, visible, component_root, distinct).
+  using QueryReply = Response;
+  using BatchExpandReply = Response;
+  using ShowReply = Response;
+  using FindReply = Response;
+
   Result<QueryReply> Query(const std::string& query);
 
   /// EXPAND: ids of the navigation nodes the cut revealed.
   Result<std::vector<NavNodeId>> Expand(const std::string& token,
                                         NavNodeId node);
 
-  struct BatchExpandReply {
-    /// Cuts actually applied (nodes whose per-node outcome is ok).
-    uint64_t expanded = 0;
-    /// Combined revealed frontier of the whole batch, in apply order.
-    std::vector<NavNodeId> revealed;
-    struct Outcome {
-      NavNodeId node = kInvalidNavNode;
-      bool ok = false;
-      std::vector<NavNodeId> revealed;  // empty on failure
-      std::string error;                // wire error code on failure
-      std::string message;
-    };
-    std::vector<Outcome> outcomes;  // one per requested node, in order
-  };
   /// BATCH_EXPAND: several cuts in one round trip. The call succeeds as
   /// long as the batch was processed; per-node failures are reported in
   /// `outcomes` (a bad token still fails the whole call).
   Result<BatchExpandReply> ExpandMany(const std::string& token,
                                       const std::vector<NavNodeId>& nodes);
 
-  struct ShowReply {
-    size_t total = 0;
-    std::vector<CitationSummary> summaries;
-  };
   Result<ShowReply> ShowResults(const std::string& token, NavNodeId node,
                                 uint64_t retstart = 0, uint64_t retmax = 0);
 
   Result<bool> Backtrack(const std::string& token);
 
-  struct FindReply {
-    bool found = false;
-    NavNodeId node = kInvalidNavNode;
-    bool visible = false;
-    NavNodeId component_root = kInvalidNavNode;
-    int distinct = 0;
-  };
   /// FIND: locate a concept in the session's navigation/active tree — the
   /// primitive behind the oracle navigation (tests, bench_serving).
   Result<FindReply> Find(const std::string& token, ConceptId concept_id);
@@ -146,8 +126,13 @@ class NavClient {
   static Result<std::unique_ptr<NavClient>> ConnectOnce(
       const std::string& host, int port, const NavClientOptions& options);
 
-  /// Sends a request and demands ok:true, folding wire errors to Status.
-  Result<JsonValue> Call(const Request& request);
+  /// Sends a request and reads the reply through the typed decode step;
+  /// demands ok:true, folding wire errors to Status.
+  Result<Response> Call(const Request& request);
+
+  /// Pops the next response frame's payload (a JSON line or a binary
+  /// body), reading from the socket as needed.
+  Status ReadFrame(std::string* payload);
 
   int fd_ = -1;
   WireProto proto_ = WireProto::kJson;

@@ -243,7 +243,7 @@ WireFrame NavServer::HandleQuery(const RequestView& request, WireProto proto) {
   }
   const SessionManager::CreateInfo& created = info.ValueOrDie();
   WireResponse response(proto, RequestOp::kQuery);
-  response.AddString(WireField::kToken, created.token);
+  response.Add(WireField::kToken, created.token);
   if (created.cache_hit && created.artifacts != nullptr) {
     // Warm path: every session of a cached query answers with the same
     // (result_size, cached:true) suffix — rendered once per encoding on
@@ -251,15 +251,15 @@ WireFrame NavServer::HandleQuery(const RequestView& request, WireProto proto) {
     std::shared_ptr<const std::string> payload =
         created.artifacts->templates.GetOrRender(
             "Q", static_cast<int>(proto), [&] {
-              return WirePayload(proto)
-                  .AddUInt(WireField::kResultSize, created.result_size)
-                  .AddBool(WireField::kCached, true)
-                  .Finish();
+              return WireResponse(proto, RequestOp::kQuery)
+                  .Add(WireField::kResultSize, created.result_size)
+                  .Add(WireField::kCached, true)
+                  .FinishPayload();
             });
     return response.FinishWithPayload(std::move(payload));
   }
-  return response.AddUInt(WireField::kResultSize, created.result_size)
-      .AddBool(WireField::kCached, created.cache_hit)
+  return response.Add(WireField::kResultSize, created.result_size)
+      .Add(WireField::kCached, created.cache_hit)
       .Finish();
 }
 
@@ -300,13 +300,13 @@ WireFrame NavServer::HandleExpand(const RequestView& request,
     std::shared_ptr<const std::string> payload =
         artifacts->templates.GetOrRender(
             template_key, static_cast<int>(proto), [&] {
-              return WirePayload(proto)
-                  .AddIntList(WireField::kRevealed, revealed)
-                  .Finish();
+              return WireResponse(proto, RequestOp::kExpand)
+                  .Add(WireField::kRevealed, revealed)
+                  .FinishPayload();
             });
     return response.FinishWithPayload(std::move(payload));
   }
-  return response.AddIntList(WireField::kRevealed, revealed).Finish();
+  return response.Add(WireField::kRevealed, revealed).Finish();
 }
 
 WireFrame NavServer::HandleBatchExpand(const RequestView& request,
@@ -318,44 +318,36 @@ WireFrame NavServer::HandleBatchExpand(const RequestView& request,
   // happened. Each applied cut appends its own ExpandRecord, so snapshots
   // and replay see a BATCH_EXPAND exactly as the equivalent EXPAND chain.
   std::vector<NavNodeId> combined;
-  std::string outcomes = "[";
+  std::vector<BatchOutcome> outcomes;
   uint64_t applied = 0;
   Status status = sessions_.WithSession(
       request.token, [&](NavigationSession& session) -> Status {
-        for (size_t i = 0; i < request.nodes.size(); ++i) {
-          NavNodeId node = request.nodes[i];
-          if (i != 0) outcomes.push_back(',');
+        outcomes.reserve(request.nodes.size());
+        for (NavNodeId node : request.nodes) {
+          BatchOutcome& outcome = outcomes.emplace_back();
+          outcome.node = node;
           Result<std::vector<NavNodeId>> r = session.Expand(node);
           if (r.ok()) {
             ++applied;
-            const std::vector<NavNodeId>& revealed = r.ValueOrDie();
+            outcome.ok = true;
+            outcome.revealed = r.TakeValue();
             // A revealed node stays visible for the rest of the batch, so
             // the concatenation is exactly the frontier the batch added —
             // no deduplication needed.
-            outcomes += "{\"node\":" + std::to_string(node) +
-                        ",\"ok\":true,\"revealed\":[";
-            for (size_t k = 0; k < revealed.size(); ++k) {
-              if (k != 0) outcomes.push_back(',');
-              outcomes += std::to_string(revealed[k]);
-            }
-            outcomes += "]}";
-            combined.insert(combined.end(), revealed.begin(), revealed.end());
+            combined.insert(combined.end(), outcome.revealed.begin(),
+                            outcome.revealed.end());
           } else {
-            outcomes += "{\"node\":" + std::to_string(node) +
-                        ",\"ok\":false,\"error\":\"" +
-                        WireErrorName(WireErrorFromStatus(r.status())) +
-                        "\",\"message\":\"" +
-                        JsonEscape(r.status().message()) + "\"}";
+            outcome.error = WireErrorName(WireErrorFromStatus(r.status()));
+            outcome.message = r.status().message();
           }
         }
         return Status::OK();
       });
   if (!status.ok()) return SessionErrorFrame(proto, status);
-  outcomes.push_back(']');
   return WireResponse(proto, RequestOp::kBatchExpand)
-      .AddUInt(WireField::kExpanded, applied)
-      .AddIntList(WireField::kRevealed, combined)
-      .AddRawJson(WireField::kResults, outcomes)
+      .Add(WireField::kExpanded, applied)
+      .Add(WireField::kRevealed, combined)
+      .Add(WireField::kResults, outcomes)
       .Finish();
 }
 
@@ -395,16 +387,15 @@ WireFrame NavServer::HandleShowResults(const RequestView& request,
     std::shared_ptr<const std::string> payload =
         artifacts->templates.GetOrRender(
             template_key, static_cast<int>(proto), [&] {
-              return WirePayload(proto)
-                  .AddUInt(WireField::kTotal, summaries.size())
-                  .AddRawJson(WireField::kSummaries,
-                              SummariesToJson(summaries))
-                  .Finish();
+              return WireResponse(proto, RequestOp::kShowResults)
+                  .Add(WireField::kTotal, summaries.size())
+                  .Add(WireField::kSummaries, summaries)
+                  .FinishPayload();
             });
     return response.FinishWithPayload(std::move(payload));
   }
-  return response.AddUInt(WireField::kTotal, summaries.size())
-      .AddRawJson(WireField::kSummaries, SummariesToJson(summaries))
+  return response.Add(WireField::kTotal, summaries.size())
+      .Add(WireField::kSummaries, summaries)
       .Finish();
 }
 
@@ -418,7 +409,7 @@ WireFrame NavServer::HandleBacktrack(const RequestView& request,
       });
   if (!status.ok()) return SessionErrorFrame(proto, status);
   return WireResponse(proto, RequestOp::kBacktrack)
-      .AddBool(WireField::kUndone, undone)
+      .Add(WireField::kUndone, undone)
       .Finish();
 }
 
@@ -448,11 +439,11 @@ WireFrame NavServer::HandleFind(const RequestView& request, WireProto proto) {
       });
   if (!status.ok()) return SessionErrorFrame(proto, status);
   return WireResponse(proto, RequestOp::kFind)
-      .AddBool(WireField::kFound, found)
-      .AddInt(WireField::kNode, static_cast<int64_t>(node))
-      .AddBool(WireField::kVisible, visible)
-      .AddInt(WireField::kComponentRoot, static_cast<int64_t>(root))
-      .AddInt(WireField::kDistinct, static_cast<int64_t>(distinct))
+      .Add(WireField::kFound, found)
+      .Add(WireField::kNode, node)
+      .Add(WireField::kVisible, visible)
+      .Add(WireField::kComponentRoot, root)
+      .Add(WireField::kDistinct, distinct)
       .Finish();
 }
 
@@ -466,7 +457,7 @@ WireFrame NavServer::HandleView(const RequestView& request, WireProto proto) {
       });
   if (!status.ok()) return SessionErrorFrame(proto, status);
   return WireResponse(proto, RequestOp::kView)
-      .AddRawJson(WireField::kTree, tree)
+      .Add(WireField::kTree, RawJson{tree})
       .Finish();
 }
 
@@ -478,7 +469,7 @@ WireFrame NavServer::HandleClose(const RequestView& request, WireProto proto) {
         "unknown session '" + std::string(request.token) + "'");
   }
   return WireResponse(proto, RequestOp::kClose)
-      .AddBool(WireField::kClosed, true)
+      .Add(WireField::kClosed, true)
       .Finish();
 }
 
@@ -497,8 +488,8 @@ WireFrame NavServer::HandleFetchArtifact(const RequestView& request,
   // Base64 in both encodings: JSON strings cannot carry raw bytes, and one
   // representation keeps owner/replica wire responses oracle-identical.
   return WireResponse(proto, RequestOp::kFetchArtifact)
-      .AddString(WireField::kArtifact,
-                 Base64Encode(artifacts.ValueOrDie()->Serialize()))
+      .Add(WireField::kArtifact,
+           Base64Encode(artifacts.ValueOrDie()->Serialize()))
       .Finish();
 }
 
@@ -544,37 +535,28 @@ WireFrame NavServer::HandleStats(const RequestView&, WireProto proto) {
       std::to_string(s.sessions.peer_fetch_misses) + "}";
   // The exposition-sized payload has no hot-path template; both protocols
   // carry the identical JSON document (binary wraps it as a kWhole field).
-  std::string line =
-      ResponseBuilder(RequestOp::kStats)
-          .Add("connections_accepted", s.connections_accepted)
-          .Add("connections_shed", s.connections_shed)
-          .Add("connections_open", s.connections_open)
-          .Add("connections_idle_closed", s.connections_idle_closed)
-          .Add("requests", s.requests)
-          .Add("protocol_errors", s.protocol_errors)
-          .Add("oversized_frames", s.oversized_frames)
-          .Add("epoll_wakeups", s.epoll_wakeups)
-          .Add("bytes_rx", s.bytes_rx)
-          .Add("bytes_tx", s.bytes_tx)
-          .Add("threads", pool_.num_threads())
-          .Add("io_threads", static_cast<int64_t>(frontend_.num_loops()))
-          .AddRaw("sessions", sessions)
-          .AddRaw("cache", cache_json)
-          .AddRaw("metrics", GlobalMetrics().ToJson())
-          .Finish();
-  return WrapWholeJson(proto, std::move(line));
+  return WireResponse(proto, RequestOp::kStats)
+      .Add("connections_accepted", s.connections_accepted)
+      .Add("connections_shed", s.connections_shed)
+      .Add("connections_open", s.connections_open)
+      .Add("connections_idle_closed", s.connections_idle_closed)
+      .Add("requests", s.requests)
+      .Add("protocol_errors", s.protocol_errors)
+      .Add("oversized_frames", s.oversized_frames)
+      .Add("epoll_wakeups", s.epoll_wakeups)
+      .Add("bytes_rx", s.bytes_rx)
+      .Add("bytes_tx", s.bytes_tx)
+      .Add("threads", pool_.num_threads())
+      .Add("io_threads", static_cast<int64_t>(frontend_.num_loops()))
+      .Add("sessions", RawJson{sessions})
+      .Add("cache", RawJson{cache_json})
+      .Add("metrics", RawJson{GlobalMetrics().ToJson()})
+      .Finish();
 }
 
 WireFrame NavServer::HandleMetrics(const RequestView&, WireProto proto) {
   EpollWakeupsGauge()->Set(frontend_.stats().epoll_wakeups);
-  // The exposition travels as one JSON string field; JsonEscape turns the
-  // newlines into \n so the line protocol survives, and clients (or
-  // `bionav_cli stats --prom`) unescape on print.
-  std::string line =
-      ResponseBuilder(RequestOp::kMetrics)
-          .Add("text", std::string_view(GlobalMetrics().ToPrometheusText()))
-          .Finish();
-  return WrapWholeJson(proto, std::move(line));
+  return MetricsReply(proto, GlobalMetrics().ToPrometheusText());
 }
 
 NavServerStats NavServer::stats() const {

@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
@@ -362,6 +363,11 @@ void WriteJsonTo(const JsonValue& value, std::string* out) {
       out->append(value.bool_value() ? "true" : "false");
       return;
     case JsonValue::Type::kNumber: {
+      // Integer literals print exactly, past 2^53 too.
+      if (value.exact_uint()) {
+        out->append(std::to_string(*value.exact_uint()));
+        return;
+      }
       double n = value.number_value();
       if (n >= -0x1p63 && n < 0x1p63 &&
           n == static_cast<double>(static_cast<int64_t>(n))) {
@@ -492,13 +498,6 @@ const char* WireErrorName(WireError error) {
   return "INTERNAL";
 }
 
-std::string ErrorReply(WireError error, std::string_view message) {
-  BIONAV_CHECK(error != WireError::kNone) << "ErrorReply on success";
-  return "{\"v\":" + std::to_string(kProtocolVersion) +
-         ",\"ok\":false,\"error\":\"" + WireErrorName(error) +
-         "\",\"message\":\"" + JsonEscape(std::string(message)) + "\"}";
-}
-
 WireError WireErrorFromStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:
@@ -542,52 +541,6 @@ Status StatusFromWireError(std::string_view error_name,
     return Status::FailedPrecondition(msg);
   }
   return Status::Internal(std::string(error_name) + ": " + msg);
-}
-
-ResponseBuilder::ResponseBuilder(RequestOp op) {
-  out_ = "{\"v\":" + std::to_string(kProtocolVersion) +
-         ",\"ok\":true,\"op\":\"" + RequestOpName(op) + "\"";
-}
-
-ResponseBuilder& ResponseBuilder::Add(std::string_view key, int64_t value) {
-  AppendKey(&out_, key);
-  out_ += std::to_string(value);
-  return *this;
-}
-
-ResponseBuilder& ResponseBuilder::Add(std::string_view key, uint64_t value) {
-  AppendKey(&out_, key);
-  out_ += std::to_string(value);
-  return *this;
-}
-
-ResponseBuilder& ResponseBuilder::Add(std::string_view key, int value) {
-  return Add(key, static_cast<int64_t>(value));
-}
-
-ResponseBuilder& ResponseBuilder::Add(std::string_view key, bool value) {
-  AppendKey(&out_, key);
-  out_ += value ? "true" : "false";
-  return *this;
-}
-
-ResponseBuilder& ResponseBuilder::Add(std::string_view key,
-                                      std::string_view value) {
-  AppendKey(&out_, key);
-  out_ += '"' + JsonEscape(std::string(value)) + '"';
-  return *this;
-}
-
-ResponseBuilder& ResponseBuilder::AddRaw(std::string_view key,
-                                         std::string_view raw_json) {
-  AppendKey(&out_, key);
-  out_.append(raw_json);
-  return *this;
-}
-
-std::string ResponseBuilder::Finish() {
-  out_.push_back('}');
-  return std::move(out_);
 }
 
 // ---------------------------------------------------------------------------
@@ -656,42 +609,6 @@ enum FieldType : uint8_t {
   kFieldIntList = 5,  // varint count + zigzag varints
 };
 
-void AppendFieldUInt(std::string* out, uint8_t id, uint64_t value) {
-  out->push_back(static_cast<char>(id));
-  out->push_back(static_cast<char>(kFieldUVarint));
-  AppendVarint(out, value);
-}
-
-void AppendFieldInt(std::string* out, uint8_t id, int64_t value) {
-  out->push_back(static_cast<char>(id));
-  out->push_back(static_cast<char>(kFieldSVarint));
-  AppendVarint(out, ZigzagEncode(value));
-}
-
-void AppendFieldBool(std::string* out, uint8_t id, bool value) {
-  out->push_back(static_cast<char>(id));
-  out->push_back(static_cast<char>(kFieldBool));
-  out->push_back(value ? '\1' : '\0');
-}
-
-void AppendFieldBytes(std::string* out, uint8_t id, uint8_t type,
-                      std::string_view bytes) {
-  out->push_back(static_cast<char>(id));
-  out->push_back(static_cast<char>(type));
-  AppendVarint(out, bytes.size());
-  out->append(bytes);
-}
-
-void AppendFieldIntList(std::string* out, uint8_t id,
-                        const std::vector<NavNodeId>& ids) {
-  out->push_back(static_cast<char>(id));
-  out->push_back(static_cast<char>(kFieldIntList));
-  AppendVarint(out, ids.size());
-  for (NavNodeId node : ids) {
-    AppendVarint(out, ZigzagEncode(static_cast<int64_t>(node)));
-  }
-}
-
 /// One decoded field value; which member is live depends on `type`.
 struct FieldValue {
   uint64_t uval = 0;       // kFieldUVarint; the entry count of kFieldIntList
@@ -750,17 +667,13 @@ int64_t NextListEntry(std::string_view run, size_t* at) {
   return ZigzagDecode(raw);
 }
 
-/// Error responses carry this op byte (JSON errors carry no "op" member).
-constexpr uint8_t kBinaryOpError = 0xFF;
-/// Whole-JSON passthrough frames (STATS/METRICS) carry this op byte; the
-/// decoder returns the embedded document, so the byte never surfaces.
-constexpr uint8_t kBinaryOpWhole = 0xFE;
-
-std::string FinishBinaryFrame(std::string body) {
+/// Magic and length prefix before `body`; the length also counts a
+/// `suffix_bytes` shared suffix sent after it.
+std::string FinishBinaryFrame(std::string body, size_t suffix_bytes = 0) {
   std::string frame;
   frame.reserve(kBinaryFrameHeaderBytes + body.size());
   frame.push_back(static_cast<char>(kBinaryFrameMagic));
-  AppendU32LE(&frame, static_cast<uint32_t>(body.size()));
+  AppendU32LE(&frame, static_cast<uint32_t>(body.size() + suffix_bytes));
   frame.append(body);
   return frame;
 }
@@ -906,43 +819,74 @@ const OpSpec& OpSpecOf(RequestOp op) {
   return index >= 0 && index < kNumRequestOps ? kOpSpecs[index] : kUnknown;
 }
 
-// One request field in either encoding; the member's C++ type picks the
-// value encoding (and matches the field's binary type).
-void AppendField(WireProto proto, const FieldSpec& field,
-                 const std::string& text, std::string* out) {
-  if (proto == WireProto::kBinary) {
-    return AppendFieldBytes(out, field.id, kFieldString, text);
+/// The binary field header [id][type].
+void AppendHeader(const FieldSpec& field, std::string* out) {
+  out->push_back(static_cast<char>(field.id));
+  out->push_back(static_cast<char>(field.type));
+}
+
+// One request or response field in either encoding; the value's C++ type
+// picks the value encoding (and matches the field's binary type). A JSON
+// text value is the base case the others render into for JSON.
+void AppendField(WireProto proto, const FieldSpec& field, RawJson json,
+                 std::string* out) {
+  if (proto == WireProto::kJson) {
+    AppendKey(out, field.key);
+    out->append(json.text);
+    return;
   }
-  AppendKey(out, field.key);
-  out->append('"' + JsonEscape(text) + '"');
+  AppendHeader(field, out);  // Length-prefixed, like a string.
+  AppendVarint(out, json.text.size());
+  out->append(json.text);
+}
+
+void AppendField(WireProto proto, const FieldSpec& field,
+                 std::string_view text, std::string* out) {
+  if (proto == WireProto::kBinary) {
+    return AppendField(proto, field, RawJson{text}, out);
+  }
+  AppendField(proto, field, RawJson{'"' + JsonEscape(std::string(text)) + '"'},
+              out);
+}
+
+void AppendField(WireProto proto, const FieldSpec& field, bool value,
+                 std::string* out) {
+  if (proto == WireProto::kJson) {
+    return AppendField(proto, field, RawJson{value ? "true" : "false"}, out);
+  }
+  AppendHeader(field, out);
+  out->push_back(value ? '\1' : '\0');
 }
 
 void AppendField(WireProto proto, const FieldSpec& field, int32_t value,
                  std::string* out) {
-  if (proto == WireProto::kBinary) return AppendFieldInt(out, field.id, value);
-  AppendKey(out, field.key);
-  out->append(std::to_string(value));
+  if (proto == WireProto::kJson) {
+    return AppendField(proto, field, RawJson{std::to_string(value)}, out);
+  }
+  AppendHeader(field, out);
+  AppendVarint(out, ZigzagEncode(value));
 }
 
 void AppendField(WireProto proto, const FieldSpec& field, uint64_t value,
                  std::string* out) {
-  if (proto == WireProto::kBinary) return AppendFieldUInt(out, field.id, value);
-  AppendKey(out, field.key);
-  out->append(std::to_string(value));
+  if (proto == WireProto::kJson) {
+    return AppendField(proto, field, RawJson{std::to_string(value)}, out);
+  }
+  AppendHeader(field, out);
+  AppendVarint(out, value);
 }
 
 void AppendField(WireProto proto, const FieldSpec& field,
                  const std::vector<NavNodeId>& list, std::string* out) {
-  if (proto == WireProto::kBinary) {
-    return AppendFieldIntList(out, field.id, list);
+  if (proto == WireProto::kJson) {
+    std::string text = "[";
+    for (NavNodeId node : list) text += std::to_string(node) + ',';
+    if (!list.empty()) text.pop_back();
+    return AppendField(proto, field, RawJson{text + ']'}, out);
   }
-  AppendKey(out, field.key);
-  out->push_back('[');
-  for (size_t i = 0; i < list.size(); ++i) {
-    if (i != 0) out->push_back(',');
-    out->append(std::to_string(list[i]));
-  }
-  out->push_back(']');
+  AppendHeader(field, out);
+  AppendVarint(out, list.size());
+  for (NavNodeId node : list) AppendVarint(out, ZigzagEncode(node));
 }
 
 /// Appends the fields `request.op` carries, in schema order.
@@ -1292,235 +1236,416 @@ WireError DecodeRequest(WireProto proto, std::string_view payload,
 }
 
 // ---------------------------------------------------------------------------
-// Proto-generic responses
+// Responses: one schema, two encodings
 // ---------------------------------------------------------------------------
 
-const char* WireFieldName(WireField field) {
+namespace {
+
+/// Response fields by id - 1. The key names the JSON member; the type is
+/// the binary encoding, which the builder's C++ value type must match.
+constexpr FieldSpec kResponseFields[] = {
+    {1, "token", kFieldString, nullptr},
+    {2, "result_size", kFieldUVarint, nullptr},
+    {3, "cached", kFieldBool, nullptr},
+    {4, "revealed", kFieldIntList, nullptr},
+    {5, "total", kFieldUVarint, nullptr},
+    {6, "summaries", kFieldJson, nullptr},
+    {7, "undone", kFieldBool, nullptr},
+    {8, "found", kFieldBool, nullptr},
+    {9, "node", kFieldSVarint, nullptr},
+    {10, "visible", kFieldBool, nullptr},
+    {11, "component_root", kFieldSVarint, nullptr},
+    {12, "distinct", kFieldSVarint, nullptr},
+    {13, "tree", kFieldJson, nullptr},
+    {14, "closed", kFieldBool, nullptr},
+    {15, "error", kFieldString, nullptr},
+    {16, "message", kFieldString, nullptr},
+    {17, "whole", kFieldJson, nullptr},
+    {18, "results", kFieldJson, nullptr},
+    {19, "expanded", kFieldUVarint, nullptr},
+    {20, "artifact", kFieldString, nullptr},
+};
+
+const FieldSpec& SpecOf(WireField field) {
+  return kResponseFields[static_cast<uint8_t>(field) - 1];
+}
+
+constexpr uint32_t Bit(WireField field) {
+  return uint32_t{1} << static_cast<uint8_t>(field);
+}
+
+/// The fields one op's reply carries, in wire order. An op with none is a
+/// whole-document reply (binary frames wrap it as kWhole).
+struct ReplySpec {
+  std::array<WireField, 5> fields;
+  uint8_t count;
+  uint32_t required;  // absent (or an empty string) is a malformed reply
+
+  bool whole() const { return count == 0; }
+  bool carries(WireField field) const {
+    return std::find(fields.begin(), fields.begin() + count, field) !=
+           fields.begin() + count;
+  }
+};
+
+using F = WireField;
+/// Indexed by RequestOp.
+constexpr ReplySpec kReplySpecs[] = {
+    {{F::kToken, F::kResultSize, F::kCached}, 3, Bit(F::kToken)},
+    {{F::kRevealed}, 1, Bit(F::kRevealed)},
+    {{F::kTotal, F::kSummaries}, 2, Bit(F::kSummaries)},
+    {{F::kUndone}, 1, 0},
+    {{F::kFound, F::kNode, F::kVisible, F::kComponentRoot, F::kDistinct}, 5,
+     0},
+    {{F::kTree}, 1, Bit(F::kTree)},
+    {{F::kClosed}, 1, 0},
+    {{}, 0, 0},  // STATS
+    {{}, 0, 0},  // METRICS
+    {{F::kExpanded, F::kRevealed, F::kResults}, 3,
+     Bit(F::kRevealed) | Bit(F::kResults)},
+    {{F::kArtifact}, 1, Bit(F::kArtifact)},
+    {{}, 0, 0},  // TOPOLOGY
+};
+static_assert(static_cast<int>(std::size(kReplySpecs)) == kNumRequestOps,
+              "one ReplySpec per RequestOp");
+
+const ReplySpec& ReplySpecOf(RequestOp op) {
+  return kReplySpecs[static_cast<int>(op)];
+}
+
+/// The Response member a reply field decodes into and encodes from.
+template <typename R, typename Fn>
+void VisitMember(R& r, WireField field, Fn&& fn) {
   switch (field) {
-    case WireField::kToken: return "token";
-    case WireField::kResultSize: return "result_size";
-    case WireField::kCached: return "cached";
-    case WireField::kRevealed: return "revealed";
-    case WireField::kTotal: return "total";
-    case WireField::kSummaries: return "summaries";
-    case WireField::kUndone: return "undone";
-    case WireField::kFound: return "found";
-    case WireField::kNode: return "node";
-    case WireField::kVisible: return "visible";
-    case WireField::kComponentRoot: return "component_root";
-    case WireField::kDistinct: return "distinct";
-    case WireField::kTree: return "tree";
-    case WireField::kClosed: return "closed";
-    case WireField::kError: return "error";
-    case WireField::kMessage: return "message";
-    case WireField::kWhole: return "whole";
-    case WireField::kResults: return "results";
-    case WireField::kExpanded: return "expanded";
-    case WireField::kArtifact: return "artifact";
+    case F::kToken: return fn(r.token);
+    case F::kResultSize: return fn(r.result_size);
+    case F::kCached: return fn(r.cached);
+    case F::kRevealed: return fn(r.revealed);
+    case F::kTotal: return fn(r.total);
+    case F::kSummaries: return fn(r.summaries);
+    case F::kUndone: return fn(r.undone);
+    case F::kFound: return fn(r.found);
+    case F::kNode: return fn(r.node);
+    case F::kVisible: return fn(r.visible);
+    case F::kComponentRoot: return fn(r.component_root);
+    case F::kDistinct: return fn(r.distinct);
+    case F::kTree: return fn(r.tree);
+    case F::kClosed: return fn(r.closed);
+    case F::kResults: return fn(r.outcomes);
+    case F::kExpanded: return fn(r.expanded);
+    case F::kArtifact: return fn(r.artifact);
+    default: return;  // Error and framing fields: in no op's table.
   }
-  return nullptr;
 }
 
-namespace {
+/// Error responses carry this op byte (JSON errors carry no "op" member).
+constexpr uint8_t kBinaryOpError = 0xFF;
+/// Whole-document frames carry this op byte and one kWhole field.
+constexpr uint8_t kBinaryOpWhole = 0xFE;
 
-/// WireFieldName over a raw id byte; nullptr for ids this build ignores.
-const char* WireFieldNameOrNull(uint8_t id) {
-  if (id < static_cast<uint8_t>(WireField::kToken) ||
-      id > static_cast<uint8_t>(WireField::kArtifact)) {
-    return nullptr;
+/// The reply prefix: {"v":1,"ok":...[,"op":"<OP>"] for JSON (error and
+/// whole-document op bytes name no op), [version][flags][op] for binary.
+std::string ReplyHead(WireProto proto, bool ok, uint8_t op_byte) {
+  if (proto == WireProto::kBinary) {
+    return {static_cast<char>(kBinaryProtocolVersion), ok ? '\1' : '\0',
+            static_cast<char>(op_byte)};
   }
-  return WireFieldName(static_cast<WireField>(id));
-}
-
-}  // namespace
-
-WirePayload& WirePayload::AddUInt(WireField field, uint64_t value) {
-  if (proto_ == WireProto::kJson) {
-    AppendKey(&out_, WireFieldName(field));
-    out_ += std::to_string(value);
-  } else {
-    AppendFieldUInt(&out_, static_cast<uint8_t>(field), value);
+  std::string head = "{\"v\":" + std::to_string(kProtocolVersion) +
+                     ",\"ok\":" + (ok ? "true" : "false");
+  if (op_byte < kNumRequestOps) {
+    head += ",\"op\":\"" +
+            std::string(RequestOpName(static_cast<RequestOp>(op_byte))) + "\"";
   }
-  return *this;
-}
-
-WirePayload& WirePayload::AddInt(WireField field, int64_t value) {
-  if (proto_ == WireProto::kJson) {
-    AppendKey(&out_, WireFieldName(field));
-    out_ += std::to_string(value);
-  } else {
-    AppendFieldInt(&out_, static_cast<uint8_t>(field), value);
-  }
-  return *this;
-}
-
-WirePayload& WirePayload::AddBool(WireField field, bool value) {
-  if (proto_ == WireProto::kJson) {
-    AppendKey(&out_, WireFieldName(field));
-    out_ += value ? "true" : "false";
-  } else {
-    AppendFieldBool(&out_, static_cast<uint8_t>(field), value);
-  }
-  return *this;
-}
-
-WirePayload& WirePayload::AddString(WireField field, std::string_view value) {
-  if (proto_ == WireProto::kJson) {
-    AppendKey(&out_, WireFieldName(field));
-    out_ += '"' + JsonEscape(std::string(value)) + '"';
-  } else {
-    AppendFieldBytes(&out_, static_cast<uint8_t>(field), kFieldString, value);
-  }
-  return *this;
-}
-
-WirePayload& WirePayload::AddRawJson(WireField field,
-                                     std::string_view raw_json) {
-  if (proto_ == WireProto::kJson) {
-    AppendKey(&out_, WireFieldName(field));
-    out_.append(raw_json);
-  } else {
-    AppendFieldBytes(&out_, static_cast<uint8_t>(field), kFieldJson, raw_json);
-  }
-  return *this;
-}
-
-WirePayload& WirePayload::AddIntList(WireField field,
-                                     const std::vector<NavNodeId>& ids) {
-  if (proto_ == WireProto::kJson) {
-    AppendKey(&out_, WireFieldName(field));
-    out_.push_back('[');
-    bool first = true;
-    for (NavNodeId node : ids) {
-      if (!first) out_.push_back(',');
-      first = false;
-      out_ += std::to_string(node);
-    }
-    out_.push_back(']');
-  } else {
-    AppendFieldIntList(&out_, static_cast<uint8_t>(field), ids);
-  }
-  return *this;
-}
-
-std::string WirePayload::Finish() {
-  if (proto_ == WireProto::kJson) out_.append("}\n");
-  return std::move(out_);
-}
-
-namespace {
-
-/// The per-request binary response prefix: [version][flags][op].
-std::string BinaryResponseHead(bool ok, uint8_t op_byte) {
-  std::string head;
-  head.push_back(static_cast<char>(kBinaryProtocolVersion));
-  head.push_back(ok ? '\1' : '\0');
-  head.push_back(static_cast<char>(op_byte));
   return head;
+}
+
+/// A complete frame from a reply head and its fields.
+WireFrame FinishFrame(WireProto proto, std::string reply) {
+  return {proto == WireProto::kJson ? std::move(reply) + "}\n"
+                                    : FinishBinaryFrame(std::move(reply)),
+          nullptr};
+}
+
+/// A whole-document frame: the JSON line, or a 0xFE frame whose sole field
+/// is that line.
+WireFrame WholeFrame(WireProto proto, bool ok, std::string json) {
+  if (proto == WireProto::kJson) return {std::move(json) + "\n", nullptr};
+  std::string body = ReplyHead(proto, ok, kBinaryOpWhole);
+  AppendField(proto, SpecOf(F::kWhole), RawJson{json}, &body);
+  return {FinishBinaryFrame(std::move(body)), nullptr};
+}
+
+WireFrame ErrorFrame(WireProto proto, std::string_view error,
+                     std::string_view message) {
+  std::string reply = ReplyHead(proto, false, kBinaryOpError);
+  AppendField(proto, SpecOf(F::kError), error, &reply);
+  AppendField(proto, SpecOf(F::kMessage), message, &reply);
+  return FinishFrame(proto, std::move(reply));
+}
+
+std::string BatchOutcomesToJson(const std::vector<BatchOutcome>& results) {
+  std::string out = "[";
+  for (const BatchOutcome& outcome : results) {
+    if (out.size() > 1) out.push_back(',');
+    out += "{\"node\":" + std::to_string(outcome.node);
+    if (outcome.ok) {
+      out += ",\"ok\":true,\"revealed\":[";
+      for (size_t k = 0; k < outcome.revealed.size(); ++k) {
+        if (k != 0) out.push_back(',');
+        out += std::to_string(outcome.revealed[k]);
+      }
+      out += "]}";
+    } else {
+      out += ",\"ok\":false,\"error\":\"" + JsonEscape(outcome.error) +
+             "\",\"message\":\"" + JsonEscape(outcome.message) + "\"}";
+    }
+  }
+  return out + "]";
+}
+
+// The typed decode step. A member of another JSON type, or an empty
+// string, reads as absent; an integer outside its member's C++ type, or a
+// malformed entry, is invalid.
+enum class ReadOutcome { kAbsent, kStored, kInvalid };
+
+ReadOutcome ReadValue(const JsonValue& v, std::string* out) {
+  if (!v.is_string() || v.string_value().empty()) return ReadOutcome::kAbsent;
+  *out = v.string_value();
+  return ReadOutcome::kStored;
+}
+
+ReadOutcome ReadValue(const JsonValue& v, bool* out) {
+  if (!v.is_bool()) return ReadOutcome::kAbsent;
+  *out = v.bool_value();
+  return ReadOutcome::kStored;
+}
+
+/// uint64_t or int32_t, through the request decoders' WireInt rule.
+template <typename T, std::enable_if_t<std::is_same_v<T, uint64_t> ||
+                                           std::is_same_v<T, int32_t>,
+                                       int> = 0>
+ReadOutcome ReadValue(const JsonValue& v, T* out) {
+  if (!v.is_number()) return ReadOutcome::kAbsent;
+  const WireInt value = WireInt::FromJson(v);
+  if (std::is_signed_v<T> ? !value.FitsInt32()
+                          : !value.integral || value.negative) {
+    return ReadOutcome::kInvalid;
+  }
+  *out = std::is_signed_v<T> ? value.AsInt32() : value.magnitude;
+  return ReadOutcome::kStored;
+}
+
+ReadOutcome ReadValue(const JsonValue& v, JsonValue* out) {
+  *out = v;
+  return ReadOutcome::kStored;
+}
+
+ReadOutcome ReadValue(const JsonValue& v, CitationSummary* out);
+ReadOutcome ReadValue(const JsonValue& v, BatchOutcome* out);
+ReadOutcome ReadValue(const JsonValue& v, TopologyBackend* out);
+
+/// An array whose every entry must read.
+template <typename T>
+ReadOutcome ReadValue(const JsonValue& v, std::vector<T>* out) {
+  if (!v.is_array()) return ReadOutcome::kAbsent;
+  out->assign(v.array_items().size(), T());
+  for (size_t i = 0; i < out->size(); ++i) {
+    if (ReadValue(v.array_items()[i], &(*out)[i]) != ReadOutcome::kStored) {
+      return ReadOutcome::kInvalid;
+    }
+  }
+  return ReadOutcome::kStored;
+}
+
+/// Reads member `key` of `object` into `*out` (an absent one leaves it);
+/// false when it is invalid.
+template <typename T>
+bool ReadKey(const JsonValue& object, std::string_view key, T* out) {
+  const JsonValue* v = object.Find(key);
+  return v == nullptr || ReadValue(*v, out) != ReadOutcome::kInvalid;
+}
+
+/// An object entry reads when every member it has reads.
+ReadOutcome Entry(const JsonValue& v, bool members_read) {
+  if (!v.is_object()) return ReadOutcome::kAbsent;
+  return members_read ? ReadOutcome::kStored : ReadOutcome::kInvalid;
+}
+
+ReadOutcome ReadValue(const JsonValue& v, CitationSummary* out) {
+  return Entry(v, ReadKey(v, "pmid", &out->pmid) &&
+                      ReadKey(v, "year", &out->year) &&
+                      ReadKey(v, "title", &out->title));
+}
+
+ReadOutcome ReadValue(const JsonValue& v, BatchOutcome* out) {
+  const bool read = ReadKey(v, "node", &out->node) &&
+                    ReadKey(v, "ok", &out->ok) &&
+                    (out->ok ? ReadKey(v, "revealed", &out->revealed)
+                             : ReadKey(v, "error", &out->error) &&
+                                   ReadKey(v, "message", &out->message));
+  return Entry(v, read);
+}
+
+/// A backend needs an id, a host and a port in 1-65535.
+ReadOutcome ReadValue(const JsonValue& v, TopologyBackend* out) {
+  int32_t port = 0;
+  const bool read = ReadKey(v, "id", &out->id) &&
+                    ReadKey(v, "host", &out->host) &&
+                    ReadKey(v, "port", &port) &&
+                    ReadKey(v, "state", &out->state) &&
+                    ReadKey(v, "draining", &out->draining);
+  out->port = port;
+  return Entry(v, read && port >= 1 && port <= 65535 && !out->id.empty() &&
+                      !out->host.empty());
+}
+
+Status FieldError(RequestOp op, std::string_view key, const char* problem) {
+  return Status::Internal(std::string(RequestOpName(op)) + " response field \"" +
+                          std::string(key) + "\" is " + problem);
+}
+constexpr const char* kMalformed = "malformed or out of range";
+constexpr const char* kMissing = "missing";
+
+/// TOPOLOGY's members: at least one vnode within int32, the seed a whole
+/// decimal uint64 (a JSON number would lose ring seeds past 2^53 in
+/// double-precision parsers), and well-formed backends.
+Status ReadTopology(const JsonValue& doc, FleetTopology* out) {
+  constexpr RequestOp kOp = RequestOp::kTopology;
+  if (!ReadKey(doc, "generation", &out->generation)) {
+    return FieldError(kOp, "generation", kMalformed);
+  }
+  int32_t vnodes = out->vnodes;
+  if (!ReadKey(doc, "vnodes", &vnodes) || vnodes < 1) {
+    return FieldError(kOp, "vnodes", kMalformed);
+  }
+  out->vnodes = vnodes;
+  std::string seed;
+  if (!ReadKey(doc, "seed", &seed) || seed.empty()) {
+    return FieldError(kOp, "seed", kMissing);
+  }
+  const char* end = seed.data() + seed.size();
+  const auto [parsed, error] = std::from_chars(seed.data(), end, out->seed);
+  if (error != std::errc() || parsed != end) {
+    return FieldError(kOp, "seed", kMalformed);
+  }
+  const JsonValue* backends = doc.Find("backends");
+  if (backends == nullptr) return FieldError(kOp, "backends", kMissing);
+  if (ReadValue(*backends, &out->backends) != ReadOutcome::kStored) {
+    return FieldError(kOp, "backends", kMalformed);
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 WireResponse::WireResponse(WireProto proto, RequestOp op)
-    : proto_(proto), op_(op), fields_(proto) {}
+    : proto_(proto), op_(op) {}
 
-WireResponse& WireResponse::AddUInt(WireField field, uint64_t value) {
-  fields_.AddUInt(field, value);
+template <typename T>
+WireResponse& WireResponse::Put(WireField field, uint8_t type,
+                                const T& value) {
+  const FieldSpec& spec = SpecOf(field);
+  BIONAV_CHECK(spec.type == type && ReplySpecOf(op_).carries(field))
+      << RequestOpName(op_) << " reply does not carry \"" << spec.key
+      << "\" as type " << static_cast<int>(type);
+  AppendField(proto_, spec, value, &fields_);
   return *this;
 }
 
-WireResponse& WireResponse::AddInt(WireField field, int64_t value) {
-  fields_.AddInt(field, value);
-  return *this;
+WireResponse& WireResponse::Add(WireField field, uint64_t value) {
+  return Put(field, kFieldUVarint, value);
 }
-
+WireResponse& WireResponse::Add(WireField field, int32_t value) {
+  return Put(field, kFieldSVarint, value);
+}
 WireResponse& WireResponse::AddBool(WireField field, bool value) {
-  fields_.AddBool(field, value);
-  return *this;
+  return Put(field, kFieldBool, value);
+}
+WireResponse& WireResponse::Add(WireField field, std::string_view value) {
+  return Put(field, kFieldString, value);
+}
+WireResponse& WireResponse::Add(WireField field,
+                                const std::vector<NavNodeId>& ids) {
+  return Put(field, kFieldIntList, ids);
+}
+WireResponse& WireResponse::Add(WireField field, RawJson json) {
+  return Put(field, kFieldJson, json);
+}
+WireResponse& WireResponse::Add(WireField field, const JsonValue& json) {
+  return Add(field, RawJson{WriteJson(json)});
+}
+WireResponse& WireResponse::Add(
+    WireField field, const std::vector<CitationSummary>& summaries) {
+  return Add(field, RawJson{SummariesToJson(summaries)});
+}
+WireResponse& WireResponse::Add(WireField field,
+                                const std::vector<BatchOutcome>& results) {
+  return Add(field, RawJson{BatchOutcomesToJson(results)});
 }
 
-WireResponse& WireResponse::AddString(WireField field, std::string_view value) {
-  fields_.AddString(field, value);
-  return *this;
+WireResponse& WireResponse::Add(std::string_view key, int64_t value) {
+  return Add(key, RawJson{std::to_string(value)});
 }
-
-WireResponse& WireResponse::AddRawJson(WireField field,
-                                       std::string_view raw_json) {
-  fields_.AddRawJson(field, raw_json);
-  return *this;
+WireResponse& WireResponse::Add(std::string_view key, std::string_view value) {
+  return Add(key, RawJson{'"' + JsonEscape(std::string(value)) + '"'});
 }
-
-WireResponse& WireResponse::AddIntList(WireField field,
-                                       const std::vector<NavNodeId>& ids) {
-  fields_.AddIntList(field, ids);
+WireResponse& WireResponse::Add(std::string_view key, RawJson json) {
+  BIONAV_CHECK(ReplySpecOf(op_).whole())
+      << RequestOpName(op_) << " reply has no free member \"" << key << "\"";
+  AppendKey(&fields_, key);
+  fields_.append(json.text);
   return *this;
 }
 
 WireFrame WireResponse::Finish() {
-  WireFrame frame;
-  if (proto_ == WireProto::kJson) {
-    frame.head = "{\"v\":" + std::to_string(kProtocolVersion) +
-                 ",\"ok\":true,\"op\":\"" + RequestOpName(op_) + "\"" +
-                 fields_.Finish();
-  } else {
-    frame.head = FinishBinaryFrame(
-        BinaryResponseHead(true, static_cast<uint8_t>(op_)) +
-        fields_.Finish());
+  const uint8_t op_byte = static_cast<uint8_t>(op_);
+  if (ReplySpecOf(op_).whole()) {
+    return WholeFrame(proto_, true, ReplyHead(WireProto::kJson, true, op_byte) +
+                                        std::move(fields_) + "}");
   }
-  return frame;
+  return FinishFrame(proto_,
+                     ReplyHead(proto_, true, op_byte) + std::move(fields_));
+}
+
+std::string WireResponse::FinishPayload() {
+  if (proto_ == WireProto::kJson) fields_.append("}\n");
+  return std::move(fields_);
 }
 
 WireFrame WireResponse::FinishWithPayload(
     std::shared_ptr<const std::string> payload) {
   BIONAV_CHECK(payload != nullptr) << "FinishWithPayload on null payload";
-  WireFrame frame;
-  if (proto_ == WireProto::kJson) {
-    // The shared payload closes the object and carries the '\n'.
-    frame.head = "{\"v\":" + std::to_string(kProtocolVersion) +
-                 ",\"ok\":true,\"op\":\"" + RequestOpName(op_) + "\"" +
-                 std::move(fields_.out_);
-  } else {
-    std::string inner =
-        BinaryResponseHead(true, static_cast<uint8_t>(op_)) +
-        std::move(fields_.out_);
-    frame.head.reserve(kBinaryFrameHeaderBytes + inner.size());
-    frame.head.push_back(static_cast<char>(kBinaryFrameMagic));
-    AppendU32LE(&frame.head,
-                static_cast<uint32_t>(inner.size() + payload->size()));
-    frame.head.append(inner);
-  }
-  frame.body = std::move(payload);
-  return frame;
+  std::string reply =
+      ReplyHead(proto_, true, static_cast<uint8_t>(op_)) + std::move(fields_);
+  // A JSON payload closes the object and carries the '\n'.
+  std::string head = proto_ == WireProto::kJson
+                         ? std::move(reply)
+                         : FinishBinaryFrame(std::move(reply), payload->size());
+  return {std::move(head), std::move(payload)};
 }
 
 WireFrame WireResponse::Error(WireProto proto, WireError error,
                               std::string_view message) {
-  WireFrame frame;
-  if (proto == WireProto::kJson) {
-    frame.head = ErrorReply(error, message) + "\n";
-    return frame;
-  }
   BIONAV_CHECK(error != WireError::kNone) << "Error frame on success";
-  std::string body = BinaryResponseHead(false, kBinaryOpError);
-  AppendFieldBytes(&body, static_cast<uint8_t>(WireField::kError),
-                   kFieldString, WireErrorName(error));
-  AppendFieldBytes(&body, static_cast<uint8_t>(WireField::kMessage),
-                   kFieldString, message);
-  frame.head = FinishBinaryFrame(std::move(body));
-  return frame;
+  return ErrorFrame(proto, WireErrorName(error), message);
 }
 
-WireFrame WrapWholeJson(WireProto proto, std::string json_line) {
-  WireFrame frame;
-  if (proto == WireProto::kJson) {
-    frame.head = std::move(json_line) + "\n";
-    return frame;
+WireFrame MetricsReply(WireProto proto, std::string_view exposition) {
+  return WireResponse(proto, RequestOp::kMetrics)
+      .Add("text", exposition)
+      .Finish();
+}
+
+WireFrame EncodeResponse(WireProto proto, const Response& response) {
+  if (!response.ok) return ErrorFrame(proto, response.error, response.message);
+  const ReplySpec& spec = ReplySpecOf(response.op);
+  if (spec.whole()) return WholeFrame(proto, true, WriteJson(response.document));
+  WireResponse reply(proto, response.op);
+  for (uint8_t i = 0; i < spec.count; ++i) {
+    VisitMember(response, spec.fields[i],
+                [&](const auto& member) { reply.Add(spec.fields[i], member); });
   }
-  std::string body = BinaryResponseHead(true, kBinaryOpWhole);
-  AppendFieldBytes(&body, static_cast<uint8_t>(WireField::kWhole), kFieldJson,
-                   json_line);
-  frame.head = FinishBinaryFrame(std::move(body));
-  return frame;
+  return reply.Finish();
 }
 
 Result<JsonValue> DecodeBinaryResponse(std::string_view body) {
@@ -1530,13 +1655,18 @@ Result<JsonValue> DecodeBinaryResponse(std::string_view body) {
   if (static_cast<uint8_t>(body[0]) != kBinaryProtocolVersion) {
     return Status::InvalidArgument("unexpected binary response version byte");
   }
-  bool ok = (static_cast<uint8_t>(body[1]) & 1) != 0;
-  uint8_t op_byte = static_cast<uint8_t>(body[2]);
+  const bool ok = (static_cast<uint8_t>(body[1]) & 1) != 0;
+  const uint8_t op_byte = static_cast<uint8_t>(body[2]);
+  const bool whole = op_byte == kBinaryOpWhole;
+  if (!whole && (ok ? op_byte >= kNumRequestOps : op_byte != kBinaryOpError)) {
+    return Status::InvalidArgument("unexpected binary response op byte " +
+                                   std::to_string(op_byte));
+  }
   JsonValue::Object members;
   members.emplace_back("v", JsonValue::MakeNumber(kBinaryProtocolVersion));
   members.emplace_back("ok", JsonValue::MakeBool(ok));
   // Error frames carry no "op" member, matching the JSON error shape.
-  if (op_byte < kNumRequestOps) {
+  if (ok && !whole) {
     members.emplace_back(
         "op", JsonValue::MakeString(
                   RequestOpName(static_cast<RequestOp>(op_byte))));
@@ -1546,56 +1676,131 @@ Result<JsonValue> DecodeBinaryResponse(std::string_view body) {
     if (pos + 2 > body.size()) {
       return Status::InvalidArgument("truncated response field header");
     }
-    uint8_t id = static_cast<uint8_t>(body[pos]);
-    uint8_t type = static_cast<uint8_t>(body[pos + 1]);
+    const uint8_t id = static_cast<uint8_t>(body[pos]);
+    const uint8_t type = static_cast<uint8_t>(body[pos + 1]);
     pos += 2;
     FieldValue value;
     if (!ReadFieldValue(body, &pos, type, &value)) {
       return Status::InvalidArgument("malformed response field " +
                                      std::to_string(id));
     }
-    if (id == static_cast<uint8_t>(WireField::kWhole)) {
-      // Whole-JSON passthrough: the embedded document IS the response.
-      return ParseJson(value.bytes);
+    if (whole || id == static_cast<uint8_t>(F::kWhole)) {
+      // The embedded document IS the response: the frame's only field.
+      if (!whole || id != static_cast<uint8_t>(F::kWhole) ||
+          type != kFieldJson || pos != body.size()) {
+        return Status::InvalidArgument(
+            "a whole-document field must be the only field of a 0xFE frame");
+      }
+      Result<JsonValue> doc = ParseJson(value.bytes);
+      if (doc.ok() && (!doc.ValueOrDie().is_object() ||
+                       doc.ValueOrDie().BoolOr("ok", false) != ok)) {
+        return Status::InvalidArgument(
+            "whole-document field is not an object agreeing with the ok flag");
+      }
+      return doc;
     }
-    const char* name = WireFieldNameOrNull(id);
-    if (name == nullptr) continue;  // Forward compatibility: skip unknown.
+    // Unknown ids and known ids of another type count as absent.
+    if (id == 0 || id > std::size(kResponseFields) ||
+        type != kResponseFields[id - 1].type) {
+      continue;
+    }
+    JsonValue member;
     switch (type) {
       case kFieldUVarint:
-        members.emplace_back(
-            name, JsonValue::MakeNumber(static_cast<double>(value.uval)));
+        member = JsonValue::MakeUInt(value.uval);
         break;
       case kFieldSVarint:
-        members.emplace_back(
-            name, JsonValue::MakeNumber(static_cast<double>(value.ival)));
+        member = JsonValue::MakeNumber(static_cast<double>(value.ival));
         break;
       case kFieldBool:
-        members.emplace_back(name, JsonValue::MakeBool(value.bval));
+        member = JsonValue::MakeBool(value.bval);
         break;
       case kFieldString:
-        members.emplace_back(name,
-                             JsonValue::MakeString(std::string(value.bytes)));
+        member = JsonValue::MakeString(std::string(value.bytes));
         break;
       case kFieldJson: {
         Result<JsonValue> parsed = ParseJson(value.bytes);
         if (!parsed.ok()) return parsed.status();
-        members.emplace_back(name, std::move(parsed.ValueOrDie()));
+        member = parsed.TakeValue();
         break;
       }
       case kFieldIntList: {
-        JsonValue::Array items;
-        items.reserve(value.uval);
+        JsonValue::Array items(value.uval);
         size_t at = 0;
-        for (uint64_t i = 0; i < value.uval; ++i) {
-          items.push_back(JsonValue::MakeNumber(
-              static_cast<double>(NextListEntry(value.bytes, &at))));
+        for (JsonValue& item : items) {
+          item = JsonValue::MakeNumber(
+              static_cast<double>(NextListEntry(value.bytes, &at)));
         }
-        members.emplace_back(name, JsonValue::MakeArray(std::move(items)));
+        member = JsonValue::MakeArray(std::move(items));
         break;
       }
     }
+    members.emplace_back(kResponseFields[id - 1].key, std::move(member));
+  }
+  if (whole) {
+    return Status::InvalidArgument("whole-document frame without a document");
   }
   return JsonValue::MakeObject(std::move(members));
+}
+
+Result<JsonValue> DecodeResponse(WireProto proto, std::string_view payload) {
+  Result<JsonValue> doc = proto == WireProto::kBinary
+                              ? DecodeBinaryResponse(payload)
+                              : ParseJson(payload);
+  if (!doc.ok()) {
+    return Status::Internal("malformed response: " + doc.status().message());
+  }
+  if (!doc.ValueOrDie().is_object()) {
+    return Status::Internal("response is not a JSON object");
+  }
+  return doc;
+}
+
+Result<Response> ReadResponse(RequestOp op, const JsonValue& doc) {
+  if (!doc.is_object()) return Status::Internal("response is not a JSON object");
+  Response response;
+  response.op = op;
+  ReadKey(doc, "ok", &response.ok);
+  if (!response.ok) {
+    response.error = WireErrorName(WireError::kInternal);
+    ReadKey(doc, "error", &response.error);
+    ReadKey(doc, "message", &response.message);
+    return response;
+  }
+  std::string named;
+  if (ReadKey(doc, "op", &named) && !named.empty() &&
+      named != RequestOpName(op)) {
+    return Status::Internal(std::string("reply to ") + RequestOpName(op) +
+                            " answers op " + named);
+  }
+  const ReplySpec& spec = ReplySpecOf(op);
+  for (uint8_t i = 0; i < spec.count; ++i) {
+    const WireField field = spec.fields[i];
+    const JsonValue* member = doc.Find(SpecOf(field).key);
+    ReadOutcome read = ReadOutcome::kAbsent;
+    VisitMember(response, field, [&](auto& slot) {
+      if (member != nullptr) read = ReadValue(*member, &slot);
+    });
+    if (read == ReadOutcome::kInvalid) {
+      return FieldError(op, SpecOf(field).key, kMalformed);
+    }
+    if (read == ReadOutcome::kAbsent && (spec.required & Bit(field)) != 0) {
+      return FieldError(op, SpecOf(field).key, kMissing);
+    }
+  }
+  if (spec.whole()) response.document = doc;
+  if (op == RequestOp::kMetrics) {
+    const JsonValue* text = doc.Find("text");
+    if (text == nullptr ||
+        ReadValue(*text, &response.text) != ReadOutcome::kStored) {
+      return FieldError(op, "text", kMissing);
+    }
+  }
+  if (op == RequestOp::kTopology) {
+    Status read = ReadTopology(doc, &response.topology);
+    if (!read.ok()) return read;
+  }
+  return response;
 }
 
 }  // namespace bionav

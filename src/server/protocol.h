@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -11,6 +12,7 @@
 
 #include "core/navigation_tree.h"
 #include "hierarchy/concept_hierarchy.h"
+#include "medline/eutils.h"
 #include "util/status.h"
 
 namespace bionav {
@@ -28,23 +30,26 @@ namespace bionav {
 ///   QUERY       {"query": "<keywords>"}            -> token, result_size,
 ///                                                     cached
 ///   EXPAND      {"token": t, "node": n}            -> revealed: [ids]
-///   BATCH_EXPAND {"token": t, "nodes": [a, b, c]}  -> revealed (combined),
-///                                                     expanded, results
+///   BATCH_EXPAND {"token": t, "nodes": [a, b, c]}  -> expanded, revealed
+///                                                     (combined), results
 ///   SHOWRESULTS {"token": t, "node": n,
 ///                "retstart": s, "retmax": m}       -> total, summaries
 ///   BACKTRACK   {"token": t}                       -> undone
-///   FIND        {"token": t, "concept": c}         -> node, visible, ...
+///   FIND        {"token": t, "concept": c}         -> found, node, visible,
+///                                                     component_root, distinct
 ///   VIEW        {"token": t, "depth": d}           -> tree (visualization)
 ///   CLOSE       {"token": t}                       -> closed
-///   STATS       {}                                 -> stats (incl. metrics)
-///   METRICS     {}                                 -> text (Prometheus)
+///   STATS       {}                                 -> counters (whole doc)
+///   METRICS     {}                                 -> text (whole doc)
 ///   FETCH_ARTIFACT {"query": "<normalized key>"}   -> artifact (base64)
-///   TOPOLOGY    {}                                 -> generation, backends
+///   TOPOLOGY    {}                                 -> generation, vnodes,
+///                                                     seed, backends (whole)
 /// node, concept, depth and each nodes entry must be integers that fit
 /// int32; retstart/retmax (default 0) integers that fit uint64; depth
 /// defaults to 100. Members an op does not carry are ignored.
 /// Responses: {"v": 1, "ok": true, "op": "<OP>", ...} on success, or
 ///   {"v": 1, "ok": false, "error": "<CODE>", "message": "..."} on failure.
+/// Reply fields follow one schema in both encodings (WireField below).
 inline constexpr int kProtocolVersion = 1;
 
 // ---------------------------------------------------------------------------
@@ -163,7 +168,8 @@ class JsonValue {
 Result<JsonValue> ParseJson(std::string_view text);
 
 /// Serializes a JsonValue back to compact JSON (integral numbers print
-/// without a decimal point, so protocol integers round-trip textually).
+/// without a decimal point, exact_uint ones exactly, so protocol integers
+/// round-trip textually).
 std::string WriteJson(const JsonValue& value);
 
 // ---------------------------------------------------------------------------
@@ -383,11 +389,8 @@ WireError DecodeRequest(WireProto proto, std::string_view payload,
                         Request* storage, RequestView* out,
                         std::string* error_message);
 
-/// Builds the one-line error response for a typed error.
-std::string ErrorReply(WireError error, std::string_view message);
-
 /// Maps an op-level library Status onto the wire (OK statuses are a
-/// programming error; use ResponseBuilder for successes).
+/// programming error; use WireResponse for successes).
 WireError WireErrorFromStatus(const Status& status);
 
 /// Client-side mapping of a wire error back to a Status. RETRY_LATER and
@@ -396,31 +399,16 @@ WireError WireErrorFromStatus(const Status& status);
 Status StatusFromWireError(std::string_view error_name,
                            std::string_view message);
 
-/// Assembles a success response line: {"v":1,"ok":true,"op":...,<fields>}.
-/// AddRaw splices pre-serialized JSON (e.g. core/json_export payloads).
-class ResponseBuilder {
- public:
-  explicit ResponseBuilder(RequestOp op);
-  ResponseBuilder& Add(std::string_view key, int64_t value);
-  ResponseBuilder& Add(std::string_view key, uint64_t value);
-  ResponseBuilder& Add(std::string_view key, int value);
-  ResponseBuilder& Add(std::string_view key, bool value);
-  ResponseBuilder& Add(std::string_view key, std::string_view value);
-  ResponseBuilder& AddRaw(std::string_view key, std::string_view raw_json);
-  /// Returns the finished line (no trailing newline). The builder is spent.
-  std::string Finish();
-
- private:
-  std::string out_;
-};
-
 // ---------------------------------------------------------------------------
-// Proto-generic response assembly (v2)
+// Responses: one schema, two encodings
 // ---------------------------------------------------------------------------
 
-/// Response field registry. Binary frames tag each field with its id; the
-/// client-side decoder maps ids back to the JSON member names below, so
-/// one decode path yields the same JsonValue document either way.
+/// Response field registry. Binary frames tag each field with its id, JSON
+/// replies name it by its key; protocol.cc's field table gives every id its
+/// key and value type, and its per-op table lists the fields each reply
+/// carries (see the grammar above). Both encoders and the typed decode step
+/// follow those tables. Whole-document replies travel in binary as the sole
+/// kWhole field of a frame with op byte 0xFE.
 enum class WireField : uint8_t {
   kToken = 1,
   kResultSize = 2,
@@ -444,8 +432,66 @@ enum class WireField : uint8_t {
   kArtifact = 20,  // FETCH_ARTIFACT: base64 serialized bundle
 };
 
-/// JSON member name of a response field ("token", "result_size", ...).
-const char* WireFieldName(WireField field);
+/// One BATCH_EXPAND per-node outcome.
+struct BatchOutcome {
+  NavNodeId node = kInvalidNavNode;
+  bool ok = false;
+  std::vector<NavNodeId> revealed;  // when ok
+  std::string error;                // wire error code when !ok
+  std::string message;              // when !ok
+};
+
+/// One backend as the TOPOLOGY op describes it.
+struct TopologyBackend {
+  std::string id;
+  std::string host;
+  int port = 0;
+  /// Router-side health state name ("healthy", "unhealthy", "halfopen").
+  std::string state;
+  bool draining = false;
+};
+
+/// The routing tier's shard map, as served by TOPOLOGY: enough for a
+/// client to rebuild the placement ring locally (same seed + vnodes +
+/// backend ids => identical ownership, no coordination needed) and dial
+/// backends directly. `generation` bumps whenever membership or health
+/// changes; a client holding a stale generation falls back to the proxy
+/// and refreshes.
+struct FleetTopology {
+  uint64_t generation = 0;
+  int vnodes = 128;
+  uint64_t seed = 0;
+  std::vector<TopologyBackend> backends;
+};
+
+/// One decoded reply, the counterpart of Request. Members beyond (op, ok)
+/// are those of `op`'s reply, or (error, message) when !ok.
+struct Response {
+  RequestOp op = RequestOp::kStats;
+  bool ok = false;
+  std::string error;    // wire error code name ("UNKNOWN_SESSION", ...)
+  std::string message;
+  std::string token;                       // QUERY
+  uint64_t result_size = 0;                // QUERY
+  bool cached = false;                     // QUERY
+  std::vector<NavNodeId> revealed;         // EXPAND, BATCH_EXPAND
+  uint64_t expanded = 0;                   // BATCH_EXPAND
+  std::vector<BatchOutcome> outcomes;      // BATCH_EXPAND "results"
+  uint64_t total = 0;                      // SHOWRESULTS
+  std::vector<CitationSummary> summaries;  // SHOWRESULTS
+  bool undone = false;                     // BACKTRACK
+  bool found = false;                      // FIND
+  NavNodeId node = kInvalidNavNode;        // FIND
+  bool visible = false;                    // FIND
+  NavNodeId component_root = kInvalidNavNode;  // FIND
+  int32_t distinct = 0;                    // FIND
+  JsonValue tree;                          // VIEW
+  bool closed = false;                     // CLOSE
+  std::string artifact;                    // FETCH_ARTIFACT (base64)
+  JsonValue document;  // STATS, METRICS, TOPOLOGY: the whole reply
+  std::string text;    // METRICS: the Prometheus exposition
+  FleetTopology topology;                  // TOPOLOGY
+};
 
 /// One outgoing response: an owned per-request head plus an optional
 /// shared pre-rendered suffix (a response template attached to cached
@@ -457,48 +503,64 @@ struct WireFrame {
   size_t size() const { return head.size() + (body ? body->size() : 0); }
 };
 
-/// Renders the shareable field suffix of a response — the template unit
-/// cached on QueryArtifacts. For JSON the suffix closes the object and
-/// carries the frame's trailing newline; for binary it is raw field bytes
-/// (the head's length prefix accounts for it at assembly time).
-class WirePayload {
- public:
-  explicit WirePayload(WireProto proto) : proto_(proto) {}
-  WirePayload& AddUInt(WireField field, uint64_t value);
-  WirePayload& AddInt(WireField field, int64_t value);
-  WirePayload& AddBool(WireField field, bool value);
-  WirePayload& AddString(WireField field, std::string_view value);
-  /// Splices pre-serialized JSON (summaries, tree visualizations). Binary
-  /// frames carry it as a tagged JSON-text field the decoder re-parses.
-  WirePayload& AddRawJson(WireField field, std::string_view raw_json);
-  WirePayload& AddIntList(WireField field, const std::vector<NavNodeId>& ids);
-  /// Returns the rendered suffix. The builder is spent.
-  std::string Finish();
+/// Decodes one reply payload (a JSON line or a binary frame body) into its
+/// document: the JSON object, or DecodeBinaryResponse's equal-shaped one.
+/// Internal on a malformed payload.
+Result<JsonValue> DecodeResponse(WireProto proto, std::string_view payload);
 
- private:
-  friend class WireResponse;
-  WireProto proto_;
-  std::string out_;
+/// The typed decode step: reads the reply to `op` from its document. Every
+/// integer, nested ones too, must be integral and fit its member's C++ type
+/// (the request decoders' rule); a member of another JSON type, or an
+/// empty string, counts as absent; a reply missing a required field or
+/// naming another op is Internal. Error replies read (error, message)
+/// whatever `op` is.
+Result<Response> ReadResponse(RequestOp op, const JsonValue& doc);
+
+/// The reply frame of a typed Response; whole documents go verbatim.
+WireFrame EncodeResponse(WireProto proto, const Response& response);
+
+/// Pre-rendered JSON text for a JSON-typed field or member.
+struct RawJson {
+  std::string_view text;
 };
 
-/// Assembles one success response in either encoding; the proto-aware
-/// counterpart of ResponseBuilder. Fields added here become the owned
-/// per-request head; FinishWithPayload appends a shared template suffix
-/// rendered by WirePayload instead.
+/// Assembles one success reply in either encoding. A field's value type
+/// picks its encoding and must be the field's type in the schema, for a
+/// field of the op's reply (both checked). Whole-document ops take keyed
+/// JSON members instead; Finish wraps them as kWhole for binary.
 class WireResponse {
  public:
   WireResponse(WireProto proto, RequestOp op);
-  WireResponse& AddUInt(WireField field, uint64_t value);
-  WireResponse& AddInt(WireField field, int64_t value);
-  WireResponse& AddBool(WireField field, bool value);
-  WireResponse& AddString(WireField field, std::string_view value);
-  WireResponse& AddRawJson(WireField field, std::string_view raw_json);
-  WireResponse& AddIntList(WireField field, const std::vector<NavNodeId>& ids);
+
+  WireResponse& Add(WireField field, uint64_t value);
+  WireResponse& Add(WireField field, int32_t value);
+  /// bool only: a pointer or an integer must not turn into a flag.
+  template <typename B, std::enable_if_t<std::is_same_v<B, bool>, int> = 0>
+  WireResponse& Add(WireField field, B value) {
+    return AddBool(field, value);
+  }
+  WireResponse& Add(WireField field, std::string_view value);
+  WireResponse& Add(WireField field, const std::vector<NavNodeId>& ids);
+  WireResponse& Add(WireField field, RawJson json);
+  WireResponse& Add(WireField field, const JsonValue& json);
+  WireResponse& Add(WireField field,
+                    const std::vector<CitationSummary>& summaries);
+  WireResponse& Add(WireField field, const std::vector<BatchOutcome>& results);
+
+  /// Members of a whole-document reply.
+  WireResponse& Add(std::string_view key, int64_t value);
+  WireResponse& Add(std::string_view key, std::string_view value);
+  WireResponse& Add(std::string_view key, RawJson json);
+
   /// Self-contained frame (JSON line incl. '\n', or length-prefixed
   /// binary). The builder is spent.
   WireFrame Finish();
-  /// Frame whose suffix is the shared pre-rendered `payload` (must have
-  /// been produced by WirePayload::Finish with the same proto).
+  /// Renders the fields added so far as a shareable reply suffix, the
+  /// template unit cached on QueryArtifacts: for JSON it closes the object
+  /// and carries the trailing newline; for binary it is raw field bytes.
+  std::string FinishPayload();
+  /// Frame whose suffix is the shared pre-rendered `payload` (produced by
+  /// FinishPayload for the same proto and op).
   WireFrame FinishWithPayload(std::shared_ptr<const std::string> payload);
 
   /// Typed error response as a frame in the given encoding.
@@ -506,22 +568,25 @@ class WireResponse {
                          std::string_view message);
 
  private:
+  WireResponse& AddBool(WireField field, bool value);
+  /// Appends `field` after checking it against the op's reply and `type`.
+  template <typename T>
+  WireResponse& Put(WireField field, uint8_t type, const T& value);
+
   WireProto proto_;
   RequestOp op_;
-  WirePayload fields_;
+  std::string fields_;
 };
 
-/// Wraps an already-rendered complete JSON response line (no newline) for
-/// the given proto: JSON connections send the line verbatim; binary
-/// connections carry it as a kWhole field, which DecodeBinaryResponse
-/// unwraps back into the identical document. Used by STATS/METRICS, whose
-/// exposition-sized payloads have no hot-path templates.
-WireFrame WrapWholeJson(WireProto proto, std::string json_line);
+/// The METRICS reply: the Prometheus exposition as one JSON string member
+/// (JsonEscape keeps the line protocol intact; clients unescape on print).
+WireFrame MetricsReply(WireProto proto, std::string_view exposition);
 
-/// Client-side decode of one binary response frame body into the same
-/// JsonValue document shape a JSON response parses to (kWhole fields are
-/// unwrapped; unknown field ids are skipped by their self-describing
-/// type). Non-OK only on malformed frames.
+/// Decodes one binary response frame body into the document shape a JSON
+/// reply parses to. Unknown ids and known ids of another type are skipped;
+/// unsigned varints stay exact. kWhole is accepted only as the sole field
+/// of a 0xFE frame, an object whose "ok" matches the flag bit; that
+/// document is the response. Non-OK on malformed frames.
 Result<JsonValue> DecodeBinaryResponse(std::string_view body);
 
 }  // namespace bionav

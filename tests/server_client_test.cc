@@ -1,8 +1,9 @@
-// Tests for NavClient's reading of reply numbers: a reply is input like a
+// Tests for the clients' reading of reply numbers: a reply is input like a
 // request, so every integer it carries must be integral and fit its C++
 // type. A scripted loopback peer answers each request line with a crafted
 // reply; 1e300, 2^40 and 5.9 must each come back as a typed kInternal, never
-// an undefined double conversion or a silently wrapped or truncated id.
+// an undefined double conversion or a silently wrapped or truncated id. The
+// same peer acting as a router serves TOPOLOGY replies to RoutedNavClient.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "router/routed_client.h"
 #include "server/nav_client.h"
 
 namespace bionav {
@@ -171,6 +173,62 @@ TEST(NavClientReply, FindAndShowFieldsMustFitTheirTypes) {
   auto queried = client->Query("q");
   ASSERT_FALSE(queried.ok());
   EXPECT_EQ(queried.status().code(), StatusCode::kInternal);
+}
+
+std::string TopologyReply(const std::string& members,
+                          const std::string& backend) {
+  return R"({"v":1,"ok":true,"op":"TOPOLOGY",)" + members +
+         R"(,"backends":[)" + backend + "]}";
+}
+
+TEST(RoutedClientTopology, ReplyFieldsMustFitTheirTypes) {
+  const std::string members =
+      R"("generation":3,"vnodes":64,"seed":"18446744073709551615")";
+  const std::string backend =
+      R"({"id":"b0","host":"127.0.0.1","port":7001,"state":"healthy",)"
+      R"("draining":false})";
+  const std::vector<std::string> bad = {
+      // 2^32 + 80 once narrowed to port 80; 65616 and 0 are no ports.
+      TopologyReply(members, R"({"id":"b0","host":"h","port":4294967376})"),
+      TopologyReply(members, R"({"id":"b0","host":"h","port":65616})"),
+      TopologyReply(members, R"({"id":"b0","host":"h","port":0})"),
+      TopologyReply(members, R"({"id":"b0","host":"h","port":80.5})"),
+      TopologyReply(R"("generation":3,"vnodes":0,"seed":"1")", backend),
+      TopologyReply(R"("generation":3,"vnodes":4294967297,"seed":"1")",
+                    backend),
+      // The seed is a whole decimal uint64, nothing else.
+      TopologyReply(R"("generation":3,"vnodes":64,"seed":"-1")", backend),
+      TopologyReply(R"("generation":3,"vnodes":64,"seed":"12abc")", backend),
+      TopologyReply(
+          R"("generation":3,"vnodes":64,"seed":"18446744073709551616")",
+          backend),
+      TopologyReply(R"("generation":-1,"vnodes":64,"seed":"1")", backend),
+  };
+  std::vector<std::string> replies = {TopologyReply(members, backend)};
+  replies.insert(replies.end(), bad.begin(), bad.end());
+  replies.push_back(TopologyReply(
+      R"("generation":4,"vnodes":512,"seed":"7")", backend));
+  ScriptedPeer peer(replies);
+  RoutedNavClientOptions options;
+  options.client.recv_timeout_ms = 5000;
+  auto connected = RoutedNavClient::Connect("127.0.0.1", peer.port(), options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  RoutedNavClient& client = *connected.ValueOrDie();
+  EXPECT_EQ(client.topology().generation, 3u);
+  EXPECT_EQ(client.topology().vnodes, 64);
+  EXPECT_EQ(client.topology().seed, 18446744073709551615u);
+  ASSERT_EQ(client.topology().backends.size(), 1u);
+  EXPECT_EQ(client.topology().backends[0].port, 7001);
+  for (const std::string& reply : bad) {
+    Status refreshed = client.RefreshTopology();
+    EXPECT_EQ(refreshed.code(), StatusCode::kInternal) << reply;
+    EXPECT_EQ(client.topology().generation, 3u) << reply;
+  }
+  Status refreshed = client.RefreshTopology();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  EXPECT_EQ(client.topology().generation, 4u);
+  EXPECT_EQ(client.topology().vnodes, 512);
+  EXPECT_EQ(client.topology().seed, 7u);
 }
 
 }  // namespace

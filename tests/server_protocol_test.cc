@@ -192,26 +192,41 @@ TEST(ProtocolRequest, RejectsMalformedRequests) {
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolResponse, BuilderEmitsVersionedSuccessLine) {
-  std::string line = ResponseBuilder(RequestOp::kExpand)
-                         .Add("count", 3)
-                         .Add("flag", true)
-                         .Add("name", std::string_view("x"))
-                         .AddRaw("list", "[1,2]")
-                         .Finish();
-  auto v = ParseJson(line);
-  ASSERT_TRUE(v.ok()) << line;
+  // A field reply: each value's C++ type picks its JSON rendering.
+  WireFrame find = WireResponse(WireProto::kJson, RequestOp::kFind)
+                       .Add(WireField::kFound, true)
+                       .Add(WireField::kNode, 3)
+                       .Add(WireField::kDistinct, -2)
+                       .Finish();
+  ASSERT_EQ(find.head.back(), '\n');
+  auto v = ParseJson(std::string_view(find.head).substr(0, find.head.size() - 1));
+  ASSERT_TRUE(v.ok()) << find.head;
   const JsonValue& r = v.ValueOrDie();
   EXPECT_EQ(r.IntOr("v", -1), kProtocolVersion);
   EXPECT_TRUE(r.BoolOr("ok", false));
-  EXPECT_EQ(r.StringOr("op", ""), "EXPAND");
-  EXPECT_EQ(r.IntOr("count", -1), 3);
-  EXPECT_TRUE(r.BoolOr("flag", false));
-  ASSERT_NE(r.Find("list"), nullptr);
-  EXPECT_EQ(r.Find("list")->array_items().size(), 2u);
+  EXPECT_EQ(r.StringOr("op", ""), "FIND");
+  EXPECT_TRUE(r.BoolOr("found", false));
+  EXPECT_EQ(r.IntOr("node", -1), 3);
+  EXPECT_EQ(r.IntOr("distinct", 0), -2);
+
+  // A whole-document reply: keyed members of every kind.
+  WireFrame stats = WireResponse(WireProto::kJson, RequestOp::kStats)
+                        .Add("count", int64_t{3})
+                        .Add("name", "x")
+                        .Add("list", RawJson{"[1,2]"})
+                        .Finish();
+  EXPECT_EQ(stats.head,
+            "{\"v\":1,\"ok\":true,\"op\":\"STATS\",\"count\":3,"
+            "\"name\":\"x\",\"list\":[1,2]}\n");
 }
 
 TEST(ProtocolResponse, ErrorReplyCarriesCodeAndMessage) {
-  std::string line = ErrorReply(WireError::kUnknownSession, "no such token");
+  std::string line =
+      WireResponse::Error(WireProto::kJson, WireError::kUnknownSession,
+                          "no such token")
+          .head;
+  ASSERT_EQ(line.back(), '\n');
+  line.pop_back();
   auto v = ParseJson(line);
   ASSERT_TRUE(v.ok()) << line;
   const JsonValue& r = v.ValueOrDie();
@@ -488,56 +503,56 @@ TEST(ProtocolBinary, ResponseRoundTripEveryShapeMatchesJson) {
   const Build shapes[] = {
       +[](WireProto proto) {  // QUERY
         return WireResponse(proto, RequestOp::kQuery)
-            .AddString(WireField::kToken, "s42")
-            .AddUInt(WireField::kResultSize, 120)
-            .AddBool(WireField::kCached, true)
+            .Add(WireField::kToken, "s42")
+            .Add(WireField::kResultSize, uint64_t{120})
+            .Add(WireField::kCached, true)
             .Finish();
       },
       +[](WireProto proto) {  // EXPAND
         return WireResponse(proto, RequestOp::kExpand)
-            .AddIntList(WireField::kRevealed, {1, 5, 9})
+            .Add(WireField::kRevealed, std::vector<NavNodeId>{1, 5, 9})
             .Finish();
       },
       +[](WireProto proto) {  // EXPAND, nothing revealed
         return WireResponse(proto, RequestOp::kExpand)
-            .AddIntList(WireField::kRevealed, {})
+            .Add(WireField::kRevealed, std::vector<NavNodeId>{})
             .Finish();
       },
       +[](WireProto proto) {  // SHOWRESULTS
         return WireResponse(proto, RequestOp::kShowResults)
-            .AddUInt(WireField::kTotal, 7)
-            .AddRawJson(WireField::kSummaries,
-                        R"([{"uid":11,"title":"a \"b\""}])")
+            .Add(WireField::kTotal, uint64_t{7})
+            .Add(WireField::kSummaries,
+                 RawJson{R"([{"uid":11,"title":"a \"b\""}])"})
             .Finish();
       },
       +[](WireProto proto) {  // BACKTRACK
         return WireResponse(proto, RequestOp::kBacktrack)
-            .AddBool(WireField::kUndone, false)
+            .Add(WireField::kUndone, false)
             .Finish();
       },
       +[](WireProto proto) {  // FIND
         return WireResponse(proto, RequestOp::kFind)
-            .AddBool(WireField::kFound, true)
-            .AddInt(WireField::kNode, 3)
-            .AddBool(WireField::kVisible, false)
-            .AddInt(WireField::kComponentRoot, 2)
-            .AddInt(WireField::kDistinct, 4)
+            .Add(WireField::kFound, true)
+            .Add(WireField::kNode, 3)
+            .Add(WireField::kVisible, false)
+            .Add(WireField::kComponentRoot, 2)
+            .Add(WireField::kDistinct, 4)
             .Finish();
       },
       +[](WireProto proto) {  // VIEW
         return WireResponse(proto, RequestOp::kView)
-            .AddRawJson(WireField::kTree,
-                        R"({"label":"root","children":[{"label":"c"}]})")
+            .Add(WireField::kTree,
+                 RawJson{R"({"label":"root","children":[{"label":"c"}]})"})
             .Finish();
       },
       +[](WireProto proto) {  // CLOSE
         return WireResponse(proto, RequestOp::kClose)
-            .AddBool(WireField::kClosed, true)
+            .Add(WireField::kClosed, true)
             .Finish();
       },
       +[](WireProto proto) {  // FETCH_ARTIFACT (base64 bundle payload)
         return WireResponse(proto, RequestOp::kFetchArtifact)
-            .AddString(WireField::kArtifact, "Qk5BMWZha2U=")
+            .Add(WireField::kArtifact, "Qk5BMWZha2U=")
             .Finish();
       },
   };
@@ -568,14 +583,16 @@ TEST(ProtocolBinary, ErrorFramesMatchAcrossEncodings) {
 TEST(ProtocolBinary, WholeJsonPassthroughUnwrapsToIdenticalDocument) {
   // STATS/METRICS travel as one pre-rendered JSON line; the binary
   // envelope must unwrap back to exactly that document.
-  std::string line = ResponseBuilder(RequestOp::kStats)
-                         .Add("requests", 7)
-                         .AddRaw("metrics", R"({"counters":{"a":1}})")
-                         .Finish();
+  auto stats = [](WireProto proto) {
+    return WireResponse(proto, RequestOp::kStats)
+        .Add("requests", int64_t{7})
+        .Add("metrics", RawJson{R"({"counters":{"a":1}})"})
+        .Finish();
+  };
   JsonValue json_doc =
-      DecodeFrameToDoc(WrapWholeJson(WireProto::kJson, line), WireProto::kJson);
-  JsonValue bin_doc = DecodeFrameToDoc(WrapWholeJson(WireProto::kBinary, line),
-                                       WireProto::kBinary);
+      DecodeFrameToDoc(stats(WireProto::kJson), WireProto::kJson);
+  JsonValue bin_doc =
+      DecodeFrameToDoc(stats(WireProto::kBinary), WireProto::kBinary);
   // The passthrough carries the embedded line verbatim — including its
   // v=1 stamp — so the documents are equal member-for-member.
   EXPECT_EQ(WriteJson(json_doc), WriteJson(bin_doc));
@@ -588,17 +605,17 @@ TEST(ProtocolBinary, TemplatePayloadPathProducesIdenticalFrames) {
   // bytes it would have rendered per request.
   for (WireProto proto : {WireProto::kJson, WireProto::kBinary}) {
     auto shared = std::make_shared<const std::string>(
-        WirePayload(proto)
-            .AddUInt(WireField::kResultSize, 120)
-            .AddBool(WireField::kCached, true)
-            .Finish());
+        WireResponse(proto, RequestOp::kQuery)
+            .Add(WireField::kResultSize, uint64_t{120})
+            .Add(WireField::kCached, true)
+            .FinishPayload());
     WireFrame templated = WireResponse(proto, RequestOp::kQuery)
-                              .AddString(WireField::kToken, "s42")
+                              .Add(WireField::kToken, "s42")
                               .FinishWithPayload(shared);
     WireFrame inline_frame = WireResponse(proto, RequestOp::kQuery)
-                                 .AddString(WireField::kToken, "s42")
-                                 .AddUInt(WireField::kResultSize, 120)
-                                 .AddBool(WireField::kCached, true)
+                                 .Add(WireField::kToken, "s42")
+                                 .Add(WireField::kResultSize, uint64_t{120})
+                                 .Add(WireField::kCached, true)
                                  .Finish();
     std::string templated_bytes = templated.head;
     if (templated.body) templated_bytes += *templated.body;
@@ -616,7 +633,7 @@ TEST(ProtocolBinary, DecodeRejectsMalformedResponseBodies) {
   EXPECT_FALSE(DecodeBinaryResponse("\x07\x01\x00").ok());  // bad version
   // Truncated field header / value after a valid envelope.
   WireFrame frame = WireResponse(WireProto::kBinary, RequestOp::kFind)
-                        .AddBool(WireField::kFound, true)
+                        .Add(WireField::kFound, true)
                         .Finish();
   std::string bytes = frame.head;
   if (frame.body) bytes += *frame.body;
