@@ -8,6 +8,8 @@
 
 namespace bionav {
 
+class CutMemo;
+
 /// Statistics for one ChooseEdgeCut invocation — what the paper reports in
 /// Figs 10/11 (per-EXPAND execution time, reduced-tree size).
 struct ExpandStats {
@@ -38,6 +40,11 @@ class ExpandStrategy {
 
   /// Human-readable strategy name for reports.
   virtual std::string name() const = 0;
+
+  /// Points the strategy's cross-EXPAND cut memo at `memo`, which every
+  /// session of one query artifact shares. No-op for strategies that keep
+  /// no memo.
+  virtual void ShareCutMemo(CutMemo* /*memo*/) {}
 
   /// Statistics of the most recent ChooseEdgeCut call.
   const ExpandStats& last_stats() const { return last_stats_; }

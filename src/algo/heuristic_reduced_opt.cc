@@ -18,28 +18,6 @@ LatencyHistogram* OptCutHistogram() {
   return hist;
 }
 
-/// Topmost nodes of subtree(root) that are NOT members of `comp`, in
-/// pre-order. Because active-tree components are connected and up-closed
-/// toward their root, the component's member set is exactly subtree(root)
-/// minus the (disjoint) subtrees of these holes, and the first non-member
-/// met in pre-order is always the top of its foreign region — so one
-/// skip-walk of O(members + holes) steps suffices.
-std::vector<NavNodeId> ComponentHoles(const ActiveTree& active, int comp,
-                                      NavNodeId root) {
-  const NavigationTree& nav = active.nav();
-  std::vector<NavNodeId> holes;
-  NavNodeId end = nav.SubtreeEnd(root);
-  for (NavNodeId id = root; id < end;) {
-    if (active.ComponentOf(id) == comp) {
-      ++id;
-    } else {
-      holes.push_back(id);
-      id = nav.SubtreeEnd(id);
-    }
-  }
-  return holes;
-}
-
 }  // namespace
 
 HeuristicReducedOpt::HeuristicReducedOpt(const CostModel* cost_model,
@@ -123,40 +101,27 @@ EdgeCut HeuristicReducedOpt::ChooseEdgeCut(const ActiveTree& active,
   BIONAV_CHECK_GE(active.ComponentSize(comp), 2u);
 
   // Incremental fast path: replay the memoized cut when the exact component
-  // recurs. An entry keyed by (root, member count) matches iff every
-  // recorded hole still lies outside the component: holes outside imply
-  // members(now) is a subset of members(then) (a member inside a hole's
-  // subtree would pull the hole into the component via up-closedness), and
-  // the equal counts force set equality — so the replay is bit-identical to
-  // a fresh recompute. Entries never need eager invalidation; a stale entry
-  // simply fails this check, and BACKTRACK re-validates old entries for
-  // free. Mutually exclusive with reuse_dp, which intentionally trades cut
-  // quality for speed and would break bit-identity.
+  // recurs — in this session or, through the artifact's shared memo, in any
+  // session of the query. CutMemo::Find validates each candidate against
+  // this session's active tree, so the replay is bit-identical to a fresh
+  // recompute; an entry stale here stays for the sessions it still fits.
+  // Mutually exclusive with reuse_dp, which intentionally trades cut quality
+  // for speed and would break bit-identity.
   const bool use_incremental = options_.incremental && !options_.reuse_dp;
-  const uint64_t memo_key =
-      IncrementalState::Key(root, active.ComponentSize(comp));
+  const CutMemo::Options memo_options{options_.max_partitions,
+                                      options_.bound_growth};
   if (use_incremental) {
-    auto it = incremental_.memo.find(memo_key);
-    if (it != incremental_.memo.end()) {
-      bool valid = true;
-      for (NavNodeId h : it->second.holes) {
-        if (active.ComponentOf(h) == comp) {
-          valid = false;
-          break;
-        }
-      }
-      if (valid) {
-        inc_hits->Increment();
-        last_stats_.reduced_tree_size = it->second.reduced_tree_size;
-        last_stats_.partition_rounds = it->second.partition_rounds;
-        last_stats_.incremental_hit = true;
-        last_stats_.elapsed_ms = timer.ElapsedMillis();
-        inc_reuse_hist->Record(timer.ElapsedMicros());
-        return it->second.cut;
-      }
-      incremental_.memo.erase(it);
-      inc_invalidated_hist->Record(timer.ElapsedMicros());
+    CutMemo::Probe probe = memo_->Find(memo_options, active, root);
+    if (probe.hit != nullptr) {
+      inc_hits->Increment();
+      last_stats_.reduced_tree_size = probe.hit->reduced_tree_size;
+      last_stats_.partition_rounds = probe.hit->partition_rounds;
+      last_stats_.incremental_hit = true;
+      last_stats_.elapsed_ms = timer.ElapsedMillis();
+      inc_reuse_hist->Record(timer.ElapsedMicros());
+      return probe.hit->cut;
     }
+    if (probe.stale) inc_invalidated_hist->Record(timer.ElapsedMicros());
   }
 
   // Fast path (Section VI-B): a previous reduction already covers this
@@ -186,20 +151,15 @@ EdgeCut HeuristicReducedOpt::ChooseEdgeCut(const ActiveTree& active,
     }
   }
 
-  // Memoizes the freshly computed answer for this component shape. The cap
-  // guards against unbounded growth in adversarial sessions; clearing on
-  // overflow is safe because the memo is a pure cache.
+  // Memoizes the freshly computed answer for this component shape.
   auto remember = [&](const EdgeCut& cut) {
     if (!use_incremental) return;
-    if (incremental_.memo.size() >= options_.incremental_max_entries) {
-      incremental_.Clear();
-    }
-    IncrementalState::Entry entry;
-    entry.holes = ComponentHoles(active, comp, root);
+    CutMemo::Entry entry;
     entry.cut = cut;
     entry.reduced_tree_size = last_stats_.reduced_tree_size;
     entry.partition_rounds = last_stats_.partition_rounds;
-    incremental_.memo[memo_key] = std::move(entry);
+    memo_->Insert(memo_options, active, root, std::move(entry),
+                  options_.incremental_max_entries);
   };
 
   dp_misses->Increment();

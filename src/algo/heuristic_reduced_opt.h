@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "algo/cut_memo.h"
 #include "algo/expand_strategy.h"
 #include "algo/opt_edgecut.h"
 #include "algo/small_tree.h"
@@ -31,50 +32,19 @@ struct HeuristicReducedOptOptions {
   /// falls back to a fresh reduction of its contents.
   bool reuse_dp = false;
   /// Cross-EXPAND incremental engine: memoize the chosen cut per component
-  /// shape and replay it whenever the exact component recurs (deep
-  /// sessions revisit shapes via BACKTRACK and sibling expansions). Unlike
-  /// `reuse_dp`, replayed answers are bit-identical to a from-scratch
-  /// recompute — ChooseEdgeCut is a pure function of the component member
-  /// set, and memo entries self-validate against the live active tree (see
+  /// shape in a CutMemo and replay it whenever the exact component recurs
+  /// (deep sessions revisit shapes via BACKTRACK and sibling expansions;
+  /// sessions of one hot query walk the same shapes). Unlike `reuse_dp`,
+  /// replayed answers are bit-identical to a from-scratch recompute —
+  /// ChooseEdgeCut is a pure function of the component member set, and
+  /// memo entries self-validate against the live active tree (see
   /// DESIGN.md "Incremental navigation engine"), so no event-driven
   /// invalidation is needed and BACKTRACK restores prior state for free.
   /// Ignored while `reuse_dp` is on (that path intentionally changes cuts).
   bool incremental = true;
-  /// Entry cap for the incremental memo; exceeding it clears the memo
-  /// (correctness is unaffected — entries are a pure cache).
+  /// Entry cap for the cut memo; exceeding it clears the memo (correctness
+  /// is unaffected — entries are a pure cache).
   size_t incremental_max_entries = 4096;
-};
-
-/// Per-session incremental EXPAND state (owned by the strategy instance,
-/// which NavigationSession owns): memoized cuts keyed by component shape.
-/// A component of the active tree is identified up to byte-identity by
-/// (root, member count, holes): members are exactly subtree(root) minus the
-/// subtrees of the recorded holes (topmost non-member nodes), so an entry
-/// is valid iff every hole still lies outside the component. Validation is
-/// O(holes); intact components (no holes) validate by size alone.
-struct IncrementalState {
-  struct Entry {
-    /// Topmost nodes of subtree(root) that were NOT component members when
-    /// the cut was computed (pre-order, disjoint subtrees). Empty = the
-    /// component was the full navigation subtree of its root.
-    std::vector<NavNodeId> holes;
-    /// The memoized answer, byte-identical to a fresh recompute.
-    EdgeCut cut;
-    /// Stats of the original computation, replayed into ExpandStats.
-    int reduced_tree_size = 0;
-    int partition_rounds = 0;
-  };
-  /// Keyed by (root << 32) | member_count, so several generations of the
-  /// same root (different depths of the session) coexist.
-  std::unordered_map<uint64_t, Entry> memo;
-
-  static uint64_t Key(NavNodeId root, size_t members) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(root)) << 32) |
-           static_cast<uint32_t>(members);
-  }
-
-  size_t size() const { return memo.size(); }
-  void Clear() { memo.clear(); }
 };
 
 /// The BioNav expansion policy: reduce the expanded component to at most K
@@ -93,19 +63,28 @@ class HeuristicReducedOpt : public ExpandStrategy {
 
   const HeuristicReducedOptOptions& options() const { return options_; }
 
-  /// Drops all cached reductions (e.g. after a BACKTRACK invalidates the
-  /// recorded component shapes). Cache misses are always safe; this only
-  /// exists to release memory deterministically.
+  /// Answers and records cuts in `memo` (the query artifact's, shared by
+  /// every session of the query) instead of the strategy's own. `memo` must
+  /// outlive the strategy and belong to the navigation tree and cost model
+  /// the strategy runs on.
+  void ShareCutMemo(CutMemo* memo) override {
+    BIONAV_CHECK(memo != nullptr);
+    memo_ = memo;
+  }
+
+  /// Drops the cached reductions and the strategy's own cut memo (a shared
+  /// memo belongs to its artifact and is left alone). Cache misses are
+  /// always safe; this only exists to release memory deterministically.
   void ClearCache() {
     cache_.clear();
-    incremental_.Clear();
+    own_memo_.Clear();
   }
 
   /// Number of component entries currently cached (testing/metrics).
   size_t cache_size() const { return cache_.size(); }
 
-  /// The per-session incremental memo (testing/metrics).
-  const IncrementalState& incremental_state() const { return incremental_; }
+  /// The cut memo this strategy answers from (testing/metrics).
+  const CutMemo& cut_memo() const { return *memo_; }
 
  private:
   /// A reduction shared by all components the reduced tree can create.
@@ -129,7 +108,8 @@ class HeuristicReducedOpt : public ExpandStrategy {
   const CostModel* cost_model_;
   HeuristicReducedOptOptions options_;
   std::unordered_map<NavNodeId, CacheEntry> cache_;
-  IncrementalState incremental_;
+  CutMemo own_memo_;
+  CutMemo* memo_ = &own_memo_;
 };
 
 }  // namespace bionav

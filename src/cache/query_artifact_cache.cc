@@ -119,10 +119,11 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
         e.last_used_ms = now;
         Lookup result{e.artifacts, /*hit=*/true, /*waited=*/false};
         int64_t build_us = e.build_us;
-        // Response templates render lazily after insert and grow the
-        // bundle's footprint; re-read it on hits so the byte budget stays
-        // honest (and over-budget shards evict — our own copy above keeps
-        // this bundle alive even if it is the victim).
+        // Response templates render and cut-memo entries accrue lazily
+        // after insert and change the bundle's footprint; re-read it on
+        // hits so the byte budget stays honest (and over-budget shards
+        // evict — our own copy above keeps this bundle alive even if it is
+        // the victim).
         size_t footprint = result.artifacts->MemoryFootprint();
         if (footprint != e.bytes) {
           int64_t delta = static_cast<int64_t>(footprint) -

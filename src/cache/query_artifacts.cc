@@ -53,6 +53,7 @@ size_t QueryArtifacts::MemoryFootprint() const {
   if (nav != nullptr) bytes += nav->MemoryFootprint();
   if (cost_model != nullptr) bytes += cost_model->MemoryFootprint();
   bytes += templates.bytes();
+  bytes += cut_memo.bytes();
   return bytes;
 }
 

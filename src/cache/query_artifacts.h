@@ -10,6 +10,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "algo/cut_memo.h"
 #include "core/cost_model.h"
 #include "core/navigation_tree.h"
 #include "core/result_set.h"
@@ -63,11 +64,14 @@ class ResponseTemplateStore {
 
 /// The immutable per-query outcome of the online pipeline of Section VII:
 /// ESearch result, the maximum-embedding navigation tree and its cost
-/// model. Everything mutable about a navigation dialogue (ActiveTree,
-/// strategy memos, trace ring) lives in the NavigationSession; this bundle
-/// is what QueryArtifactCache shares across sessions, so once published it
-/// must never change — and a NavigationTree is immutable from construction,
-/// subtree citation sets included.
+/// model. Everything mutable about one navigation dialogue (ActiveTree,
+/// expand log, trace ring) lives in the NavigationSession; this bundle is
+/// what QueryArtifactCache shares across sessions, so once published its
+/// tree, result and cost model must never change — and a NavigationTree
+/// is immutable from construction, subtree citation sets included. Two
+/// internally locked caches ride along, filled lazily by whichever session
+/// gets there first and read by all: the response templates and the cut
+/// memo. Both are pure functions of the immutable parts.
 struct QueryArtifacts {
   /// Normalized cache key the bundle was built for (NormalizeQueryKey).
   std::string key;
@@ -80,11 +84,18 @@ struct QueryArtifacts {
   /// Pre-serialized wire responses for this bundle's tree, filled
   /// lazily by the server on first touch per (request shape, encoding).
   ResponseTemplateStore templates;
+  /// Heuristic-ReducedOpt's cross-EXPAND memo, shared by every session of
+  /// this bundle (NavigationSession points its strategy here), so a cut
+  /// chosen once answers the same component in any later session, a
+  /// session restored from spill included. Entries self-validate against
+  /// each caller's own active tree; see CutMemo.
+  mutable CutMemo cut_memo;
 
   /// Heap bytes held by the bundle (result set, tree incl. its subtree
-  /// citation sets, cost model, rendered response templates) — the unit
-  /// of the cache's byte budget. Grows as templates render; the cache
-  /// re-reads it on hits to keep its budget honest.
+  /// citation sets, cost model, rendered response templates, cut memo) —
+  /// the unit of the cache's byte budget. Grows as templates render and
+  /// cuts are memoized; the cache re-reads it on hits to keep its budget
+  /// honest.
   size_t MemoryFootprint() const;
 
   /// Serializes the bundle into a framed, checksummed record — the payload
@@ -93,7 +104,8 @@ struct QueryArtifacts {
   /// varint payload carrying the key, the cost-model parameters, the
   /// result-set citation ids and the pre-order tree nodes. Response
   /// templates are NOT serialized — they are per-encoding render caches
-  /// the receiving shard refills lazily.
+  /// the receiving shard refills lazily — and neither is the cut memo: a
+  /// fetched bundle starts with an empty one.
   std::string Serialize() const;
 
   /// Parses a record produced by Serialize on another shard: rebuilds the

@@ -19,7 +19,9 @@ namespace bionav {
 /// hundred bytes even for a deep session: the token, the query, and the
 /// replay log of applied edge cuts. EXPAND is deterministic, so the log
 /// reconstructs the exact ActiveTree (structure, revealed/cut state and
-/// backtrack stack); strategy memos are caches and rebuild lazily.
+/// backtrack stack). The cut memo is not here either: it lives on the
+/// query artifacts, so a restored session answers its next EXPAND of a
+/// component any session of the query has already cut from that memo.
 struct SessionSnapshot {
   std::string token;
   std::string query;

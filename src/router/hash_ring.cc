@@ -28,8 +28,24 @@ uint64_t HashBytes(std::string_view bytes, uint64_t seed) {
 
 }  // namespace
 
+Status CheckRingSize(int64_t vnodes, size_t backends) {
+  if (vnodes < 1 || vnodes > kMaxRingVnodes) {
+    return Status::InvalidArgument(
+        "ring vnodes " + std::to_string(vnodes) + " outside 1-" +
+        std::to_string(kMaxRingVnodes));
+  }
+  if (backends > kMaxRingPoints / static_cast<size_t>(vnodes)) {
+    return Status::InvalidArgument(
+        "ring of " + std::to_string(vnodes) + " vnodes x " +
+        std::to_string(backends) + " backends exceeds " +
+        std::to_string(kMaxRingPoints) + " points");
+  }
+  return Status::OK();
+}
+
 HashRing::HashRing(HashRingOptions options) : options_(options) {
-  if (options_.vnodes < 1) options_.vnodes = 1;
+  options_.vnodes = static_cast<int>(std::clamp<int64_t>(
+      options_.vnodes, 1, kMaxRingVnodes));
 }
 
 uint64_t HashRing::HashKey(std::string_view key) const {
@@ -51,6 +67,7 @@ bool HashRing::AddBackend(const std::string& id) {
   for (const std::string& existing : backends_) {
     if (existing == id) return false;
   }
+  if (!CheckRingSize(options_.vnodes, backends_.size() + 1).ok()) return false;
   backends_.push_back(id);
   InsertPoints(static_cast<uint32_t>(backends_.size() - 1));
   std::sort(points_.begin(), points_.end());

@@ -6,13 +6,27 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace bionav {
+
+/// Ring-size cap. A ring holds vnodes x backends points, and its geometry
+/// can come from outside the process (a TOPOLOGY reply, a peers file,
+/// `bionav_route --vnodes`), so both factors are bounded: at most
+/// kMaxRingVnodes points per backend and kMaxRingPoints points in all
+/// (4 MiB of 16-byte points; 64 backends at the per-backend cap).
+inline constexpr int64_t kMaxRingVnodes = 4096;
+inline constexpr size_t kMaxRingPoints = size_t{1} << 18;
+
+/// The one check of a ring geometry: kInvalidArgument unless
+/// 1 <= vnodes <= kMaxRingVnodes and vnodes x backends <= kMaxRingPoints.
+Status CheckRingSize(int64_t vnodes, size_t backends);
 
 struct HashRingOptions {
   /// Virtual nodes per backend. More vnodes flatten the load distribution
   /// (stddev shrinks ~1/sqrt(vnodes)) at the cost of a larger sorted point
   /// table; 128 keeps the 16-shard max/min load ratio under ~1.6 while the
-  /// table stays a few KB. Clamped to >= 1.
+  /// table stays a few KB. Clamped to [1, kMaxRingVnodes].
   int vnodes = 128;
   /// Seeds every placement hash. Two rings with the same seed and backend
   /// set produce identical ownership — routers in a fleet agree on shard
@@ -36,7 +50,8 @@ class HashRing {
  public:
   explicit HashRing(HashRingOptions options = HashRingOptions());
 
-  /// Adds a backend identity. Ignored (returns false) if already present.
+  /// Adds a backend identity. Ignored (returns false) if already present,
+  /// or if its points would take the ring past kMaxRingPoints.
   bool AddBackend(const std::string& id);
 
   /// Removes a backend identity. False if absent.

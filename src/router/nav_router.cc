@@ -149,6 +149,8 @@ NavRouter::NavRouter(std::vector<RouterBackend> backends,
 }
 
 Status NavRouter::Start() {
+  Status ring = CheckRingSize(options_.ring_vnodes, backends_.size());
+  if (!ring.ok()) return ring;
   // Per-loop state is sized before the loops start taking connections.
   loop_upstreams_.assign(frontend_.num_loops(), {});
   size_t slots = backends_.size() * static_cast<size_t>(kNumWireProtos) *

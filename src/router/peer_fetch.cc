@@ -117,6 +117,10 @@ Result<PeerFetchOptions> PeerArtifactFetcher::ParsePeersFile(
     }
   }
   if (options.peers.empty()) return Status::InvalidArgument("peers file lists no peers");
+  Status ring = CheckRingSize(options.vnodes, options.peers.size());
+  if (!ring.ok()) {
+    return Status::InvalidArgument("peers file: " + ring.message());
+  }
   bool self_listed = false;
   for (const PeerSpec& peer : options.peers) {
     if (peer.id == self_id) self_listed = true;

@@ -10,6 +10,7 @@
 #include <iterator>
 
 #include "core/json_export.h"
+#include "router/hash_ring.h"
 
 namespace bionav {
 
@@ -1506,9 +1507,11 @@ Status FieldError(RequestOp op, std::string_view key, const char* problem) {
 constexpr const char* kMalformed = "malformed or out of range";
 constexpr const char* kMissing = "missing";
 
-/// TOPOLOGY's members: at least one vnode within int32, the seed a whole
-/// decimal uint64 (a JSON number would lose ring seeds past 2^53 in
-/// double-precision parsers), and well-formed backends.
+/// TOPOLOGY's members: a ring geometry within the ring-size cap
+/// (CheckRingSize: 1-kMaxRingVnodes vnodes, vnodes x backends within
+/// kMaxRingPoints), the seed a whole decimal uint64 (a JSON number would
+/// lose ring seeds past 2^53 in double-precision parsers), and well-formed
+/// backends.
 Status ReadTopology(const JsonValue& doc, FleetTopology* out) {
   constexpr RequestOp kOp = RequestOp::kTopology;
   if (!ReadKey(doc, "generation", &out->generation)) {
@@ -1532,6 +1535,9 @@ Status ReadTopology(const JsonValue& doc, FleetTopology* out) {
   if (backends == nullptr) return FieldError(kOp, "backends", kMissing);
   if (ReadValue(*backends, &out->backends) != ReadOutcome::kStored) {
     return FieldError(kOp, "backends", kMalformed);
+  }
+  if (!CheckRingSize(out->vnodes, out->backends.size()).ok()) {
+    return FieldError(kOp, "vnodes", "past the ring-size cap");
   }
   return Status::OK();
 }

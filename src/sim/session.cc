@@ -48,6 +48,7 @@ NavigationSession::NavigationSession(
   BIONAV_CHECK(artifacts_->cost_model != nullptr);
   hierarchy_ = &artifacts_->nav->hierarchy();
   strategy_ = strategy_factory(artifacts_->cost_model.get());
+  strategy_->ShareCutMemo(&artifacts_->cut_memo);
   active_ = std::make_unique<ActiveTree>(artifacts_->nav.get());
 }
 

@@ -55,10 +55,11 @@ class NavigationSession {
 
   /// Shared-artifact path: the result set, navigation tree and cost model
   /// come (typically shared, from the QueryArtifactCache) ready-built;
-  /// only the per-session state — ActiveTree, strategy memos, trace ring —
-  /// is constructed here. `query` is the user's original string (ranking
-  /// in ShowResults uses it verbatim; the artifacts are keyed by its
-  /// normalized form).
+  /// only the per-session state — ActiveTree, strategy, trace ring — is
+  /// constructed here, and the strategy is pointed at the artifacts' shared
+  /// cut memo (ExpandStrategy::ShareCutMemo). `query` is the user's
+  /// original string (ranking in ShowResults uses it verbatim; the
+  /// artifacts are keyed by its normalized form).
   NavigationSession(const EUtilsClient* eutils,
                     std::shared_ptr<const QueryArtifacts> artifacts,
                     std::string query, StrategyFactory strategy_factory);

@@ -497,6 +497,27 @@ TEST(PeerFetchTest, ParsePeersFileRejectsMissingSelfAndGarbage) {
   EXPECT_FALSE(PeerArtifactFetcher::ParsePeersFile("", "shard0").ok());
 }
 
+TEST(PeerFetchTest, RingGeometryPastTheCapIsRejected) {
+  const std::string peers = "peer shard0 127.0.0.1:40001\n";
+  EXPECT_EQ(PeerArtifactFetcher::ParsePeersFile(
+                "vnodes " + std::to_string(kMaxRingVnodes + 1) + "\n" + peers,
+                "shard0")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(PeerArtifactFetcher::ParsePeersFile(
+                  "vnodes " + std::to_string(kMaxRingVnodes) + "\n" + peers,
+                  "shard0")
+                  .ok());
+
+  // The router refuses the same geometry before it binds a port.
+  NavRouterOptions options;
+  options.ring_vnodes = static_cast<int>(kMaxRingVnodes) + 1;
+  NavRouter router(std::vector<RouterBackend>{{"127.0.0.1", 1, "b0"}},
+                   options);
+  EXPECT_EQ(router.Start().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PeerFetchTest, UnconfiguredSelfOwnedAndDeadPeerAllFallBack) {
   const Workload& w = SharingWorkload();
   PeerArtifactFetcher fetcher(&w.hierarchy());

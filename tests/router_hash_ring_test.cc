@@ -162,5 +162,27 @@ TEST(RouterHashRing, SeedChangesPlacement) {
   EXPECT_GT(differs, 1000) << "different seeds should shuffle ownership";
 }
 
+TEST(RouterHashRing, RingSizeCapIsOneTypedCheck) {
+  EXPECT_TRUE(CheckRingSize(1, 1).ok());
+  EXPECT_TRUE(CheckRingSize(kMaxRingVnodes, 64).ok());
+  EXPECT_EQ(CheckRingSize(0, 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckRingSize(kMaxRingVnodes + 1, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckRingSize(2147483647, 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckRingSize(kMaxRingVnodes, 65).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckRingSize(1, kMaxRingPoints + 1).code(),
+            StatusCode::kInvalidArgument);
+
+  // The ring itself clamps its vnodes and refuses a backend whose points
+  // would pass the cap, so no geometry makes it allocate without bound.
+  HashRing ring{HashRingOptions{2147483647, 1}};
+  for (const std::string& id : MakeBackends(64)) {
+    ASSERT_TRUE(ring.AddBackend(id)) << id;
+  }
+  EXPECT_FALSE(ring.AddBackend("one:past"));
+  EXPECT_EQ(ring.size(), 64u);
+}
+
 }  // namespace
 }  // namespace bionav

@@ -187,6 +187,13 @@ TEST(RoutedClientTopology, ReplyFieldsMustFitTheirTypes) {
   const std::string backend =
       R"({"id":"b0","host":"127.0.0.1","port":7001,"state":"healthy",)"
       R"("draining":false})";
+  std::string past_point_cap;
+  for (size_t i = 0; i <= kMaxRingPoints / kMaxRingVnodes; ++i) {
+    if (i > 0) past_point_cap += ",";
+    past_point_cap += R"({"id":"b)" + std::to_string(i) +
+                      R"(","host":"h","port":7001,"state":"healthy",)"
+                      R"("draining":false})";
+  }
   const std::vector<std::string> bad = {
       // 2^32 + 80 once narrowed to port 80; 65616 and 0 are no ports.
       TopologyReply(members, R"({"id":"b0","host":"h","port":4294967376})"),
@@ -203,6 +210,16 @@ TEST(RoutedClientTopology, ReplyFieldsMustFitTheirTypes) {
           R"("generation":3,"vnodes":64,"seed":"18446744073709551616")",
           backend),
       TopologyReply(R"("generation":-1,"vnodes":64,"seed":"1")", backend),
+      // Past the ring-size cap, per backend and in all: a client that
+      // built these rings would allocate until bad_alloc.
+      TopologyReply(R"("generation":3,"vnodes":2147483647,"seed":"1")",
+                    backend),
+      TopologyReply(R"("generation":3,"vnodes":)" +
+                        std::to_string(kMaxRingVnodes + 1) + R"(,"seed":"1")",
+                    backend),
+      TopologyReply(R"("generation":3,"vnodes":)" +
+                        std::to_string(kMaxRingVnodes) + R"(,"seed":"1")",
+                    past_point_cap),
   };
   std::vector<std::string> replies = {TopologyReply(members, backend)};
   replies.insert(replies.end(), bad.begin(), bad.end());

@@ -531,14 +531,16 @@ TEST(ProtocolResponse, JsonAndBinaryDecodeAgree) {
           .ValueOrDie();
   metrics.text = "x 1\n";
   replies.push_back(metrics);
+  // TOPOLOGY's vnodes top out at the ring-size cap, not at int32.
   Response topology = Reply(RequestOp::kTopology);
   topology.document =
       ParseJson(R"({"v":1,"ok":true,"op":"TOPOLOGY","generation":)"
-                R"(18446744073709551615,"vnodes":2147483647,)"
+                R"(18446744073709551615,"vnodes":4096,)"
                 R"("seed":"18446744073709551615","backends":[{"id":"b0",)"
                 R"("host":"h","port":65535,"state":"healthy","draining":true}]})")
           .ValueOrDie();
-  topology.topology = {UINT64_MAX, INT32_MAX, UINT64_MAX,
+  static_assert(kMaxRingVnodes == 4096);
+  topology.topology = {UINT64_MAX, 4096, UINT64_MAX,
                        {{"b0", "h", 65535, "healthy", true}}};
   replies.push_back(topology);
   Response error;

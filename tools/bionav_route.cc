@@ -258,8 +258,13 @@ int Main(int argc, char** argv) {
       options.io_threads =
           static_cast<int>(IntArg(value("--io-threads"), "--io-threads"));
     } else if (arg == "--vnodes") {
-      options.ring_vnodes =
-          static_cast<int>(IntArg(value("--vnodes"), "--vnodes"));
+      const int64_t vnodes = IntArg(value("--vnodes"), "--vnodes");
+      Status ring = CheckRingSize(vnodes, 1);
+      if (!ring.ok()) {
+        std::cerr << "bionav_route: --vnodes: " << ring.message() << "\n";
+        return 2;
+      }
+      options.ring_vnodes = static_cast<int>(vnodes);
     } else if (arg == "--max-connections") {
       options.max_connections = static_cast<int>(
           IntArg(value("--max-connections"), "--max-connections"));
@@ -314,6 +319,12 @@ int Main(int argc, char** argv) {
   if (backends_arg.rfind("auto:", 0) == 0) {
     int64_t count = IntArg(backends_arg.substr(5), "--backends=auto:N");
     if (count < 1 || db_path.empty()) return Usage();
+    Status ring =
+        CheckRingSize(options.ring_vnodes, static_cast<size_t>(count));
+    if (!ring.ok()) {
+      std::cerr << "bionav_route: " << ring.message() << "\n";
+      return 2;
+    }
     if (serve_bin.empty()) serve_bin = SelfDirectory() + "/bionav_serve";
     for (int64_t i = 0; i < count; ++i) {
       Child child;
