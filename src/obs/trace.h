@@ -70,6 +70,12 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Records nothing after all (the work it timed was handed elsewhere).
+  void Cancel() {
+    histogram_ = nullptr;
+    ring_ = nullptr;
+  }
+
  private:
   const char* name_;
   LatencyHistogram* histogram_;

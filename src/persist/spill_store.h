@@ -20,9 +20,13 @@ namespace bionav {
 /// The store also keeps a tiny MANIFEST with the server's token counter:
 /// after a warm restart (or a crash) the new process must not mint tokens
 /// that collide with sessions still parked on disk.
+///
+/// Put, Get and Delete are virtual so tests can slow down or fail the
+/// tier's I/O (SessionManager takes an injected store).
 class SpillStore {
  public:
   explicit SpillStore(std::string dir);
+  virtual ~SpillStore() = default;
 
   /// Creates the directory (parents included) and clears stale temp files.
   Status Init();
@@ -30,14 +34,14 @@ class SpillStore {
   const std::string& dir() const { return dir_; }
 
   /// Atomically writes `record` as the snapshot of `token`.
-  Status Put(const std::string& token, std::string_view record);
+  virtual Status Put(const std::string& token, std::string_view record);
 
   /// Reads the snapshot record of `token`. NotFound if absent; IOError on
   /// an unreadable file.
-  Result<std::string> Get(const std::string& token);
+  virtual Result<std::string> Get(const std::string& token);
 
   /// Removes the snapshot of `token`. False if there was none.
-  bool Delete(const std::string& token);
+  virtual bool Delete(const std::string& token);
 
   /// Tokens currently parked in the directory (unordered).
   std::vector<std::string> ListTokens() const;

@@ -144,8 +144,10 @@ NavRouter::NavRouter(std::vector<RouterBackend> backends,
     auto state = std::make_unique<BackendState>();
     state->config = backend;
     backends_.push_back(std::move(state));
-    ring_.AddBackend(backend.id);
   }
+  std::vector<std::string> ids;
+  for (const auto& backend : backends_) ids.push_back(backend->config.id);
+  ring_.AddBackends(ids);
 }
 
 Status NavRouter::Start() {

@@ -43,7 +43,9 @@ void PeerArtifactFetcher::Configure(PeerFetchOptions options) {
   ring_options.vnodes = options.vnodes;
   ring_options.seed = options.seed;
   auto ring = std::make_unique<HashRing>(ring_options);
-  for (const PeerSpec& peer : options.peers) ring->AddBackend(peer.id);
+  std::vector<std::string> ids;
+  for (const PeerSpec& peer : options.peers) ids.push_back(peer.id);
+  ring->AddBackends(ids);
 
   std::lock_guard<std::mutex> lock(mu_);
   options_ = std::move(options);

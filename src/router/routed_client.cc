@@ -51,9 +51,11 @@ Status RoutedNavClient::RefreshTopology() {
   ring_options.vnodes = parsed.vnodes;
   ring_options.seed = parsed.seed;
   auto ring = std::make_unique<HashRing>(ring_options);
+  std::vector<std::string> ids;
   for (const TopologyBackend& backend : parsed.backends) {
-    ring->AddBackend(backend.id);
+    ids.push_back(backend.id);
   }
+  ring->AddBackends(ids);
   // Keep only connections whose backend is still dial-worthy.
   for (auto it = backends_.begin(); it != backends_.end();) {
     bool keep = false;

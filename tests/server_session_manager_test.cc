@@ -225,6 +225,54 @@ TEST_F(SessionManagerTest, LruEvictionAtCapacity) {
           .ok());
 }
 
+TEST_F(SessionManagerTest, LruEvictionSkipsPinnedSessions) {
+  int64_t now_ms = 0;
+  SessionManagerOptions options;
+  options.max_sessions = 2;
+  options.ttl_ms = 0;
+  options.clock = [&now_ms] { return now_ms; };
+  SessionManager manager = MakeManager(options);
+  std::string a = manager.Create("prothymosin").ValueOrDie();
+  std::string b = manager.Create("prothymosin").ValueOrDie();
+
+  // An op pins `a`; touching `b` afterwards leaves the pinned `a` as the
+  // least recently used.
+  std::promise<void> entered, release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread op([&] {
+    EXPECT_TRUE(manager
+                    .WithSession(a,
+                                 [&](NavigationSession&) {
+                                   entered.set_value();
+                                   released.wait();
+                                   return Status::OK();
+                                 })
+                    .ok());
+  });
+  entered.get_future().wait();
+  now_ms = 1;
+  EXPECT_TRUE(
+      manager.WithSession(b, [](NavigationSession&) { return Status::OK(); })
+          .ok());
+
+  // The victim is the least recently used session that is not pinned.
+  now_ms = 2;
+  std::string c = manager.Create("prothymosin").ValueOrDie();
+  release.set_value();
+  op.join();
+  EXPECT_EQ(manager.stats().evicted_lru, 1);
+  EXPECT_EQ(manager.WithSession(b, [](NavigationSession&) {
+    return Status::OK();
+  }).code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(
+      manager.WithSession(a, [](NavigationSession&) { return Status::OK(); })
+          .ok());
+  EXPECT_TRUE(
+      manager.WithSession(c, [](NavigationSession&) { return Status::OK(); })
+          .ok());
+}
+
 TEST_F(SessionManagerTest, ConcurrentCreateOperateCloseUnderEviction) {
   SessionManagerOptions options;
   options.max_sessions = 4;  // Far below the traffic — eviction churns.
