@@ -1,6 +1,8 @@
 #include "cache/query_artifact_cache.h"
 
 #include <algorithm>
+#include <future>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -103,9 +105,8 @@ int64_t QueryArtifactCache::NowMs() const { return options_.clock(); }
 QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
     const std::string& key, const Builder& builder) {
   Shard& shard = ShardOf(key);
-  std::shared_future<std::shared_ptr<const QueryArtifacts>> wait_on;
-  std::promise<std::shared_ptr<const QueryArtifacts>> promise;
-  std::shared_ptr<Entry> entry;
+  std::optional<KeyedSingleflight<std::shared_ptr<const QueryArtifacts>>::Future>
+      wait_on;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     int64_t now = NowMs();
@@ -113,54 +114,44 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       Entry& e = *it->second;
-      if (e.building) {
-        wait_on = e.pending;
-      } else {
-        e.last_used_ms = now;
-        Lookup result{e.artifacts, /*hit=*/true, /*waited=*/false};
-        int64_t build_us = e.build_us;
-        // Response templates render and cut-memo entries accrue lazily
-        // after insert and change the bundle's footprint; re-read it on
-        // hits so the byte budget stays honest (and over-budget shards
-        // evict — our own copy above keeps this bundle alive even if it is
-        // the victim).
-        size_t footprint = result.artifacts->MemoryFootprint();
-        if (footprint != e.bytes) {
-          int64_t delta = static_cast<int64_t>(footprint) -
-                          static_cast<int64_t>(e.bytes);
-          shard.resident_bytes = shard.resident_bytes - e.bytes + footprint;
-          e.bytes = footprint;
-          {
-            std::lock_guard<std::mutex> stats_lock(stats_mu_);
-            bytes_ += delta;
-          }
-          CacheBytes()->Add(delta);
-          EvictShardLocked(shard);
-        }
+      e.last_used_ms = now;
+      Lookup result{e.artifacts, /*hit=*/true, /*waited=*/false};
+      int64_t build_us = e.build_us;
+      // Response templates render and cut-memo entries accrue lazily
+      // after insert and change the bundle's footprint; re-read it on
+      // hits so the byte budget stays honest (and over-budget shards
+      // evict — our own copy above keeps this bundle alive even if it is
+      // the victim).
+      size_t footprint = result.artifacts->MemoryFootprint();
+      if (footprint != e.bytes) {
+        int64_t delta =
+            static_cast<int64_t>(footprint) - static_cast<int64_t>(e.bytes);
+        shard.resident_bytes = shard.resident_bytes - e.bytes + footprint;
+        e.bytes = footprint;
         {
           std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++counters_.hits;
-          counters_.build_us_saved += build_us;
+          bytes_ += delta;
         }
-        CacheHits()->Increment();
-        CacheSavedHist()->Record(build_us);
-        return result;
+        CacheBytes()->Add(delta);
+        EvictShardLocked(shard);
       }
-    } else {
-      entry = std::make_shared<Entry>();
-      entry->pending = promise.get_future().share();
-      entry->sequence = shard.next_sequence++;
-      entry->inserted_ms = now;
-      entry->last_used_ms = now;
-      shard.map.emplace(key, entry);
+      {
+        std::lock_guard<std::mutex> stats_lock(stats_mu_);
+        ++counters_.hits;
+        counters_.build_us_saved += build_us;
+      }
+      CacheHits()->Increment();
+      CacheSavedHist()->Record(build_us);
+      return result;
     }
+    wait_on = shard.building.Join(key);
   }
 
-  if (wait_on.valid()) {
+  if (wait_on.has_value()) {
     // Singleflight: one builder is already at work on this key; join its
     // result instead of duplicating the pipeline.
     Timer waited;
-    std::shared_ptr<const QueryArtifacts> artifacts = wait_on.get();
+    std::shared_ptr<const QueryArtifacts> artifacts = wait_on->get();
     {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++counters_.hits;
@@ -174,8 +165,8 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
     return {std::move(artifacts), /*hit=*/true, /*waited=*/true};
   }
 
-  // We hold the build slot for this key; run the pipeline outside every
-  // cache lock so other keys keep flowing.
+  // We own this key's build; run the pipeline outside every cache lock so
+  // other keys keep flowing.
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++counters_.misses;
@@ -184,19 +175,22 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
   std::shared_ptr<const QueryArtifacts> artifacts = builder();
   BIONAV_CHECK(artifacts != nullptr) << "cache builder returned null";
   CacheBuildHist()->Record(artifacts->build_us);
-  // Unblock waiters before re-taking the shard lock: they only need the
-  // bundle, not the map entry.
-  promise.set_value(artifacts);
+  std::promise<std::shared_ptr<const QueryArtifacts>> landed;
   {
+    // The entry and the end of the flight publish together, so a
+    // newcomer finds one or the other.
     std::lock_guard<std::mutex> lock(shard.mu);
     int64_t now = NowMs();
+    auto entry = std::make_shared<Entry>();
     entry->artifacts = artifacts;
-    entry->building = false;
     entry->bytes = artifacts->MemoryFootprint();
     entry->build_us = artifacts->build_us;
     entry->inserted_ms = now;  // TTL counts from build completion.
     entry->last_used_ms = now;
+    entry->sequence = shard.next_sequence++;
+    shard.map[key] = entry;
     shard.resident_bytes += entry->bytes;
+    landed = shard.building.Land(key);
     {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       bytes_ += static_cast<int64_t>(entry->bytes);
@@ -206,6 +200,7 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
     CacheEntries()->Add(1);
     EvictShardLocked(shard);
   }
+  landed.set_value(artifacts);
   return {std::move(artifacts), /*hit=*/false, /*waited=*/false};
 }
 
@@ -213,7 +208,7 @@ bool QueryArtifactCache::Contains(const std::string& key) const {
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second->building) return false;
+  if (it == shard.map.end()) return false;
   if (options_.ttl_ms > 0 &&
       NowMs() - it->second->inserted_ms > options_.ttl_ms) {
     return false;
@@ -226,7 +221,7 @@ std::shared_ptr<const QueryArtifacts> QueryArtifactCache::Peek(
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second->building) return nullptr;
+  if (it == shard.map.end()) return nullptr;
   if (options_.ttl_ms > 0 &&
       NowMs() - it->second->inserted_ms > options_.ttl_ms) {
     return nullptr;
@@ -238,7 +233,7 @@ bool QueryArtifactCache::Invalidate(const std::string& key) {
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second->building) return false;
+  if (it == shard.map.end()) return false;
   size_t bytes = it->second->bytes;
   shard.resident_bytes -= bytes;
   shard.map.erase(it);
@@ -264,8 +259,7 @@ void QueryArtifactCache::SweepExpiredLocked(Shard& shard, int64_t now_ms) {
   if (options_.ttl_ms <= 0) return;
   for (auto it = shard.map.begin(); it != shard.map.end();) {
     Entry& e = *it->second;
-    // In-flight builds are pinned: their TTL starts when the build lands.
-    if (!e.building && now_ms - e.inserted_ms > options_.ttl_ms) {
+    if (now_ms - e.inserted_ms > options_.ttl_ms) {
       shard.resident_bytes -= e.bytes;
       {
         std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -295,7 +289,6 @@ void QueryArtifactCache::EvictShardLocked(Shard& shard) {
     auto mru = shard.map.end();
     for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
       Entry& e = *it->second;
-      if (e.building) continue;
       if (mru == shard.map.end() ||
           e.last_used_ms > mru->second->last_used_ms ||
           (e.last_used_ms == mru->second->last_used_ms &&
@@ -306,7 +299,7 @@ void QueryArtifactCache::EvictShardLocked(Shard& shard) {
     auto victim = shard.map.end();
     for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
       Entry& e = *it->second;
-      if (e.building || it == mru) continue;
+      if (it == mru) continue;
       if (victim == shard.map.end() ||
           e.last_used_ms < victim->second->last_used_ms ||
           (e.last_used_ms == victim->second->last_used_ms &&

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "cache/query_artifacts.h"
+#include "util/keyed_singleflight.h"
 
 namespace bionav {
 
@@ -106,18 +106,17 @@ class QueryArtifactCache {
   /// leaves the cache's behavior unobserved.
   std::shared_ptr<const QueryArtifacts> Peek(const std::string& key) const;
 
-  /// Drops a ready entry; live sessions keep their references. False if
-  /// the key was absent (or still building — in-flight builds are pinned).
+  /// Drops a resident entry; live sessions keep their references. False
+  /// if the key was absent (or still building — in-flight builds are not
+  /// entries yet).
   bool Invalidate(const std::string& key);
 
   QueryArtifactCacheStats stats() const;
 
  private:
+  /// A built bundle; builds in flight live in Shard::building until then.
   struct Entry {
-    /// Null until the build completes; waiters use `pending` instead.
     std::shared_ptr<const QueryArtifacts> artifacts;
-    std::shared_future<std::shared_ptr<const QueryArtifacts>> pending;
-    bool building = true;
     size_t bytes = 0;
     int64_t build_us = 0;
     int64_t inserted_ms = 0;
@@ -131,7 +130,9 @@ class QueryArtifactCache {
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::string, std::shared_ptr<Entry>> map;
-    /// Bytes of the ready entries in `map`. Guarded by `mu`.
+    /// Keys whose build is in flight. Guarded by `mu`.
+    KeyedSingleflight<std::shared_ptr<const QueryArtifacts>> building;
+    /// Bytes of the entries in `map`. Guarded by `mu`.
     size_t resident_bytes = 0;
     uint64_t next_sequence = 0;
   };

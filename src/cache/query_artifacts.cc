@@ -18,23 +18,44 @@ constexpr size_t kTemplateEntryOverhead = 96;
 
 }  // namespace
 
+namespace {
+
+std::string TemplateKey(const std::string& key, int encoding) {
+  BIONAV_CHECK(encoding >= 0 &&
+               encoding < ResponseTemplateStore::kNumEncodings)
+      << "bad template encoding " << encoding;
+  return std::to_string(encoding) + "|" + key;
+}
+
+}  // namespace
+
+std::shared_ptr<const std::string> ResponseTemplateStore::Find(
+    const std::string& key, int encoding) const {
+  const std::string full_key = TemplateKey(key, encoding);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(full_key);
+  if (it == map_.end()) return nullptr;
+  ++hits_;
+  return it->second;
+}
+
 std::shared_ptr<const std::string> ResponseTemplateStore::GetOrRender(
     const std::string& key, int encoding,
     const std::function<std::string()>& render) const {
-  BIONAV_CHECK(encoding >= 0 && encoding < kNumEncodings)
-      << "bad template encoding " << encoding;
-  std::string full_key = std::to_string(encoding) + "|" + key;
+  if (auto stored = Find(key, encoding)) return stored;
+  auto payload = std::make_shared<const std::string>(render());
+  std::string full_key = TemplateKey(key, encoding);
+  const size_t entry_bytes =
+      full_key.size() + payload->size() + kTemplateEntryOverhead;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(full_key);
-  if (it != map_.end()) {
+  auto [it, inserted] = map_.emplace(std::move(full_key), payload);
+  if (!inserted) {
+    // Another caller rendered the same template meanwhile; serve theirs.
     ++hits_;
     return it->second;
   }
-  auto payload = std::make_shared<const std::string>(render());
   ++renders_[encoding];
-  bytes_.fetch_add(full_key.size() + payload->size() + kTemplateEntryOverhead,
-                   std::memory_order_relaxed);
-  map_.emplace(std::move(full_key), payload);
+  bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
   return payload;
 }
 

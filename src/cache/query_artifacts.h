@@ -33,18 +33,24 @@ class ResponseTemplateStore {
   static constexpr int kNumEncodings = 2;
 
   struct Stats {
-    int64_t renders[kNumEncodings] = {0, 0};  // Misses that ran `render`.
-    int64_t hits = 0;                         // Served without rendering.
+    int64_t renders[kNumEncodings] = {0, 0};  // Renders that were stored.
+    int64_t hits = 0;                         // Served a stored payload.
     size_t bytes = 0;                         // Resident payload bytes.
   };
 
-  /// Returns the payload for `key`+`encoding`, invoking `render` exactly
-  /// once per (key, encoding) across all threads (later callers share the
-  /// first result — the render runs under the store lock, which is what
-  /// makes "rendered once" an invariant rather than a likelihood).
+  /// Returns the payload for `key`+`encoding`, invoking `render` on a
+  /// miss. The render runs outside the store lock, so a long render never
+  /// holds up a lookup of another template; callers racing on one missing
+  /// template may each render it, and the first insert wins — every caller
+  /// gets that payload, so one (key, encoding) is stored, counted and
+  /// served once.
   std::shared_ptr<const std::string> GetOrRender(
       const std::string& key, int encoding,
       const std::function<std::string()>& render) const;
+
+  /// The stored payload for `key`+`encoding` (counted as a hit), or null.
+  std::shared_ptr<const std::string> Find(const std::string& key,
+                                          int encoding) const;
 
   /// Resident payload bytes (keys + rendered payloads + table overhead);
   /// folded into QueryArtifacts::MemoryFootprint so the cache byte budget

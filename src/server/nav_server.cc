@@ -72,11 +72,21 @@ Counter* InlineRequestsCounter(RequestOp op) {
 NavServer::NavServer(const ConceptHierarchy* hierarchy,
                      const EUtilsClient* eutils,
                      StrategyFactory strategy_factory, NavServerOptions options)
+    : NavServer(hierarchy, eutils, std::move(strategy_factory), options,
+                options.session.spill_dir.empty()
+                    ? nullptr
+                    : std::make_unique<SpillStore>(options.session.spill_dir)) {
+}
+
+NavServer::NavServer(const ConceptHierarchy* hierarchy,
+                     const EUtilsClient* eutils,
+                     StrategyFactory strategy_factory, NavServerOptions options,
+                     std::unique_ptr<SpillStore> spill)
     : options_(std::move(options)),
       sessions_(hierarchy, eutils,
                 strategy_factory ? std::move(strategy_factory)
                                  : MakeBioNavStrategyFactory(),
-                options_.session, options_.cost_params),
+                options_.session, options_.cost_params, std::move(spill)),
       frontend_(options_, "server",
                 [this](const ConnPtr& conn, uint64_t seq, std::string& payload,
                        bool no_backlog) {
@@ -137,10 +147,11 @@ void NavServer::Dispatch(const ConnPtr& conn, uint64_t seq,
   const WireProto proto = conn->proto;  // Loop-thread state; read here.
   // Inline fast path: with no pipeline backlog, a request that cannot
   // stall the loop (a parse error, a QUERY whose artifacts are already
-  // cached, or an op on a resident, idle session) executes on the reactor
-  // thread itself. That skips both scheduler handoffs of the pool round
-  // trip — on a busy box they dominate the latency of the warm interactive
-  // ops. With a backlog the parse itself moves to the pool.
+  // cached, or an op on an idle session that is resident or restorable
+  // from memory) executes on the reactor thread itself. That skips both
+  // scheduler handoffs of the pool round trip — on a busy box they
+  // dominate the latency of the warm interactive ops. With a backlog the
+  // parse itself moves to the pool.
   EventLoop* loop = frontend_.loop(conn->loop_index);
   auto run_on_pool = [&](auto handle) {
     int64_t decoded_us = SteadyNowUs();
@@ -172,8 +183,15 @@ void NavServer::Dispatch(const ConnPtr& conn, uint64_t seq,
     return;
   }
   if (FastPathEligible(view)) {
-    std::optional<WireFrame> reply =
-        HandleRequest(view, proto, /*on_reactor=*/true);
+    SessionManager::DiskWork disk_work;
+    std::optional<WireFrame> reply = HandleRequest(view, proto, &disk_work);
+    // What the op left for the disk (an eviction spill, a restored
+    // session's stale record) runs on the pool, served or declined.
+    if (!disk_work.empty()) {
+      pool_.Submit([this, work = std::move(disk_work)]() mutable {
+        sessions_.FinishDiskWork(std::move(work));
+      });
+    }
     if (reply.has_value()) {
       ReadToDispatchHistogram()->Record(0);
       InlineRequestsCounter(view.op)->Increment();
@@ -193,22 +211,22 @@ bool NavServer::FastPathEligible(const RequestView& request) const {
   switch (request.op) {
     case RequestOp::kQuery: {
       // Contains() is false for entries still building (singleflight), so
-      // an inline Open never waits behind a cold tree build, and a table
-      // at capacity would make it write an evicted session to disk. Both
-      // probes can go stale before the Open (eviction, a racing create),
-      // costing one inline build or spill — the window is microseconds.
+      // an inline Open never waits behind a cold tree build. The probe can
+      // go stale before the Open (an eviction), costing one inline build —
+      // the window is microseconds. An eviction the Open causes is written
+      // on the pool.
       const QueryArtifactCache* cache = sessions_.cache();
       return cache != nullptr &&
-             cache->Contains(NormalizeQueryKey(request.query)) &&
-             !sessions_.CreateWouldSpill();
+             cache->Contains(NormalizeQueryKey(request.query));
     }
     case RequestOp::kExpand:
     case RequestOp::kShowResults:
     case RequestOp::kBacktrack:
     case RequestOp::kFind:
     case RequestOp::kClose:
-      // Decided at the session: these run only on a resident session no
-      // other op holds, and EXPAND only with its cut already memoized.
+      // Decided at the session: these run only on a session no other op
+      // holds that is resident or restorable from memory, and EXPAND only
+      // with its cut already memoized.
       return true;
     default: return false;
   }
@@ -235,11 +253,12 @@ WireFrame NavServer::HandleParseError(WireProto proto, WireError error,
 }
 
 std::optional<WireFrame> NavServer::HandleRequest(
-    const RequestView& request, WireProto proto, bool on_reactor) {
+    const RequestView& request, WireProto proto,
+    SessionManager::DiskWork* on_reactor) {
   TraceSpan span("server_op", OpLatencyHistogram(request.op));
   std::optional<WireFrame> reply = [&]() -> std::optional<WireFrame> {
     switch (request.op) {
-      case RequestOp::kQuery: return HandleQuery(request, proto);
+      case RequestOp::kQuery: return HandleQuery(request, proto, on_reactor);
       case RequestOp::kExpand: return HandleExpand(request, proto, on_reactor);
       case RequestOp::kShowResults:
         return HandleShowResults(request, proto, on_reactor);
@@ -263,17 +282,20 @@ std::optional<WireFrame> NavServer::HandleRequest(
 }
 
 std::optional<Status> NavServer::OnSession(
-    std::string_view token, bool on_reactor,
+    std::string_view token, SessionManager::DiskWork* on_reactor,
     const std::function<std::optional<Status>(NavigationSession&)>& body) {
-  if (!on_reactor) {
+  if (on_reactor == nullptr) {
     return sessions_.WithSession(
         token, [&](NavigationSession& session) { return *body(session); });
   }
   std::optional<Status> status;
-  sessions_.TryWithSession(token, [&](NavigationSession& session) {
-    status = body(session);
-    return status.has_value();
-  });
+  sessions_.TryWithSession(
+      token,
+      [&](NavigationSession& session) {
+        status = body(session);
+        return status.has_value();
+      },
+      on_reactor);
   return status;
 }
 
@@ -292,13 +314,14 @@ WireFrame SessionErrorFrame(WireProto proto, const Status& status) {
 
 }  // namespace
 
-WireFrame NavServer::HandleQuery(const RequestView& request, WireProto proto) {
+WireFrame NavServer::HandleQuery(const RequestView& request, WireProto proto,
+                                 SessionManager::DiskWork* on_reactor) {
   if (frontend_.shutting_down()) {
     return WireResponse::Error(proto, WireError::kShuttingDown,
                                "server is draining");
   }
   Result<SessionManager::CreateInfo> info =
-      sessions_.CreateSession(std::string(request.query));
+      sessions_.CreateSession(std::string(request.query), on_reactor);
   if (!info.ok()) {
     return WireResponse::Error(proto, WireErrorFromStatus(info.status()),
                                info.status().message());
@@ -326,7 +349,8 @@ WireFrame NavServer::HandleQuery(const RequestView& request, WireProto proto) {
 }
 
 std::optional<WireFrame> NavServer::HandleExpand(
-    const RequestView& request, WireProto proto, bool on_reactor) {
+    const RequestView& request, WireProto proto,
+    SessionManager::DiskWork* on_reactor) {
   std::vector<NavNodeId> revealed;
   std::shared_ptr<const QueryArtifacts> artifacts;
   std::string template_key;
@@ -347,7 +371,7 @@ std::optional<WireFrame> NavServer::HandleExpand(
     // The reactor only replays a memoized cut; computing one is the pool's
     // work.
     std::optional<Result<std::vector<NavNodeId>>> r;
-    if (on_reactor) {
+    if (on_reactor != nullptr) {
       r = session.ExpandIfMemoized(request.node);
       if (!r.has_value()) return std::nullopt;
     } else {
@@ -421,10 +445,12 @@ WireFrame NavServer::HandleBatchExpand(const RequestView& request,
 }
 
 std::optional<WireFrame> NavServer::HandleShowResults(
-    const RequestView& request, WireProto proto, bool on_reactor) {
+    const RequestView& request, WireProto proto,
+    SessionManager::DiskWork* on_reactor) {
   std::vector<CitationSummary> summaries;
   std::shared_ptr<const QueryArtifacts> artifacts;
   std::string template_key;
+  std::shared_ptr<const std::string> payload;
   auto show = [&](NavigationSession& session) -> std::optional<Status> {
     const ActiveTree& active = session.active_tree();
     const bool visible =
@@ -432,10 +458,24 @@ std::optional<WireFrame> NavServer::HandleShowResults(
         static_cast<size_t>(request.node) < session.navigation_tree().size() &&
         active.IsVisible(request.node);
     const int comp = visible ? active.ComponentOf(request.node) : -1;
+    // Same intact-component gate as EXPAND: the citations attached under a
+    // visible, never-split component are exactly its navigation subtree's,
+    // and their ranking depends only on the session query — which
+    // therefore joins the template key. A stored reply is served without
+    // ranking again, whatever the component's size.
+    if (visible && active.ComponentIsIntact(comp)) {
+      artifacts = session.artifacts();
+      template_key = "S|" + std::to_string(request.node) + "|" +
+                     std::to_string(request.retstart) + "|" +
+                     std::to_string(request.retmax) + "|" + session.query();
+      payload =
+          artifacts->templates.Find(template_key, static_cast<int>(proto));
+      if (payload != nullptr) return Status::OK();
+    }
     // Ranking (and with retmax 0, summarizing) grows with the component's
     // results: the reactor takes a bounded number, and a larger component
     // is the pool's work.
-    if (on_reactor && visible &&
+    if (on_reactor != nullptr && visible &&
         active.ComponentDistinctCount(comp) > kInlineShowMaxResults) {
       return std::nullopt;
     }
@@ -443,16 +483,6 @@ std::optional<WireFrame> NavServer::HandleShowResults(
         session.ShowResults(request.node, request.retstart, request.retmax);
     if (!r.ok()) return r.status();
     summaries = r.TakeValue();
-    // Same intact-component gate as EXPAND: the citations attached under a
-    // visible, never-split component are exactly its navigation subtree's,
-    // and their ranking depends only on the session query — which
-    // therefore joins the template key.
-    if (visible && active.ComponentIsIntact(comp)) {
-      artifacts = session.artifacts();
-      template_key = "S|" + std::to_string(request.node) + "|" +
-                     std::to_string(request.retstart) + "|" +
-                     std::to_string(request.retmax) + "|" + session.query();
-    }
     return Status::OK();
   };
   std::optional<Status> status = OnSession(request.token, on_reactor, show);
@@ -460,14 +490,15 @@ std::optional<WireFrame> NavServer::HandleShowResults(
   if (!status->ok()) return SessionErrorFrame(proto, *status);
   WireResponse response(proto, RequestOp::kShowResults);
   if (artifacts != nullptr) {
-    std::shared_ptr<const std::string> payload =
-        artifacts->templates.GetOrRender(
-            template_key, static_cast<int>(proto), [&] {
-              return WireResponse(proto, RequestOp::kShowResults)
-                  .Add(WireField::kTotal, summaries.size())
-                  .Add(WireField::kSummaries, summaries)
-                  .FinishPayload();
-            });
+    if (payload == nullptr) {
+      payload = artifacts->templates.GetOrRender(
+          template_key, static_cast<int>(proto), [&] {
+            return WireResponse(proto, RequestOp::kShowResults)
+                .Add(WireField::kTotal, summaries.size())
+                .Add(WireField::kSummaries, summaries)
+                .FinishPayload();
+          });
+    }
     return response.FinishWithPayload(std::move(payload));
   }
   return response.Add(WireField::kTotal, summaries.size())
@@ -476,7 +507,8 @@ std::optional<WireFrame> NavServer::HandleShowResults(
 }
 
 std::optional<WireFrame> NavServer::HandleBacktrack(
-    const RequestView& request, WireProto proto, bool on_reactor) {
+    const RequestView& request, WireProto proto,
+    SessionManager::DiskWork* on_reactor) {
   bool undone = false;
   std::optional<Status> status = OnSession(
       request.token, on_reactor, [&](NavigationSession& session) -> Status {
@@ -491,7 +523,8 @@ std::optional<WireFrame> NavServer::HandleBacktrack(
 }
 
 std::optional<WireFrame> NavServer::HandleFind(
-    const RequestView& request, WireProto proto, bool on_reactor) {
+    const RequestView& request, WireProto proto,
+    SessionManager::DiskWork* on_reactor) {
   bool found = false, visible = false;
   NavNodeId node = kInvalidNavNode, root = kInvalidNavNode;
   int distinct = 0;
@@ -541,11 +574,12 @@ WireFrame NavServer::HandleView(const RequestView& request, WireProto proto) {
 }
 
 std::optional<WireFrame> NavServer::HandleClose(
-    const RequestView& request, WireProto proto, bool on_reactor) {
+    const RequestView& request, WireProto proto,
+    SessionManager::DiskWork* on_reactor) {
   // The reactor closes only a resident, idle session; a parked one has a
   // file to unlink, which is the pool's work.
   bool closed = false;
-  if (on_reactor) {
+  if (on_reactor != nullptr) {
     if (!sessions_.TryClose(request.token)) return std::nullopt;
     closed = true;
   } else {
@@ -598,8 +632,11 @@ WireFrame NavServer::HandleStats(const RequestView&, WireProto proto) {
       ",\"operations\":" + std::to_string(s.sessions.operations) +
       ",\"spilled\":" + std::to_string(s.sessions.spilled) +
       ",\"restored\":" + std::to_string(s.sessions.restored) +
+      ",\"restored_inline\":" + std::to_string(s.sessions.restored_inline) +
       ",\"restore_failed\":" + std::to_string(s.sessions.restore_failed) +
       ",\"spilled_now\":" + std::to_string(s.sessions.spilled_now) +
+      ",\"parked_record_bytes\":" +
+      std::to_string(s.sessions.parked_record_bytes) +
       ",\"resident_bytes\":" + std::to_string(s.sessions.resident_bytes) +
       "}";
   // Artifact-cache section: enabled:false (and zeros) when --cache=off, so
@@ -672,6 +709,10 @@ void NavServer::Shutdown() {
   // their completions flush before the drain deadline starts counting.
   frontend_.Shutdown(/*settle=*/[this] { pool_.Wait(); },
                      /*teardown_loop=*/{});
+  // A loop still dispatching after the settle may have left disk work (a
+  // deferred unlink or eviction spill) on the pool; with the loops joined,
+  // nothing adds more, so this wait leaves no unlink racing a SpillAll.
+  pool_.Wait();
 }
 
 NavServer::~NavServer() { Shutdown(); }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -61,10 +62,14 @@ struct NavServerStats {
 /// stall the loop execute inline on the reactor when the connection has no
 /// backlog, skipping the pool round-trip's two scheduler handoffs on the
 /// warm interactive path: parse errors, cache-hit QUERYs, BACKTRACK, FIND
-/// and CLOSE on a resident session no other op holds, a SHOWRESULTS of
-/// such a session over at most kInlineShowMaxResults citations, and an
-/// EXPAND of such a session whose cut the query's memo already holds.
-/// The reactor never waits on a lock that is held across disk I/O.
+/// and CLOSE on a session no other op holds that is resident (or, except
+/// for CLOSE, parked with its record in memory and its artifacts cached,
+/// and then restored first), a SHOWRESULTS of such a session whose reply
+/// template is stored or whose component holds at most
+/// kInlineShowMaxResults citations, and an EXPAND of such a session whose
+/// cut the query's memo already holds. The reactor does no disk I/O and
+/// never waits on a lock that is held across it: what an inline op leaves
+/// for the disk runs on the pool.
 ///
 /// Shutdown is graceful: the listener closes, already-dispatched requests
 /// complete on the pool, frames buffered but not yet dispatched are
@@ -82,6 +87,12 @@ class NavServer {
   NavServer(const ConceptHierarchy* hierarchy, const EUtilsClient* eutils,
             StrategyFactory strategy_factory = nullptr,
             NavServerOptions options = NavServerOptions());
+  /// As above, with the spill tier served by `spill` (null: no spill tier)
+  /// instead of a SpillStore on options.session.spill_dir — the seam tests
+  /// use to observe the tier's I/O.
+  NavServer(const ConceptHierarchy* hierarchy, const EUtilsClient* eutils,
+            StrategyFactory strategy_factory, NavServerOptions options,
+            std::unique_ptr<SpillStore> spill);
 
   NavServer(const NavServer&) = delete;
   NavServer& operator=(const NavServer&) = delete;
@@ -121,9 +132,8 @@ class NavServer {
   void Dispatch(const ConnPtr& conn, uint64_t seq, std::string& payload,
                 bool no_backlog);
   /// True when a parsed request may try to execute inline on the reactor:
-  /// a QUERY whose artifacts the cache already holds built (and whose
-  /// create would not spill an evicted session), or a session op that
-  /// HandleRequest(..., on_reactor = true) then serves or declines. (Parse
+  /// a QUERY whose artifacts the cache already holds built, or a session
+  /// op that HandleRequest(..., on_reactor) then serves or declines. (Parse
   /// failures are always inline-safe — their reply is a constant error
   /// frame — and are handled before this check.)
   bool FastPathEligible(const RequestView& request) const;
@@ -132,37 +142,45 @@ class NavServer {
   /// encoding, returns the finished response frame. Runs on a pool thread;
   /// everything it touches is thread-safe.
   WireFrame HandleFrame(WireProto proto, const std::string& payload);
-  /// Dispatches an already-parsed request. With `on_reactor`, session ops
-  /// only try their session (SessionManager::TryWithSession), EXPAND only
-  /// replays a memoized cut and SHOWRESULTS only ranks a bounded component
-  /// (kInlineShowMaxResults); nullopt then means "declined, nothing
-  /// changed" and the request belongs to the pool. Without it, never
+  /// Dispatches an already-parsed request. With `on_reactor` (running on
+  /// the reactor; its disk work is left there), session ops only try
+  /// their session (SessionManager::TryWithSession), EXPAND only replays a
+  /// memoized cut and SHOWRESULTS only serves a stored template or ranks a
+  /// bounded component (kInlineShowMaxResults); nullopt then means
+  /// "declined" and the request belongs to the pool. Without it, never
   /// nullopt.
   std::optional<WireFrame> HandleRequest(
-      const RequestView& request, WireProto proto, bool on_reactor = false);
+      const RequestView& request, WireProto proto,
+      SessionManager::DiskWork* on_reactor = nullptr);
   WireFrame HandleParseError(WireProto proto, WireError error,
                              const std::string& message);
   /// Runs `body` on the session `token` names — WithSession on the pool,
   /// TryWithSession on the reactor — and returns the op's status. nullopt
   /// when the reactor's try was declined, by the manager or by `body`
-  /// returning nullopt, and nothing ran or changed.
+  /// returning nullopt, and the op did not run.
   std::optional<Status> OnSession(
-      std::string_view token, bool on_reactor,
+      std::string_view token, SessionManager::DiskWork* on_reactor,
       const std::function<std::optional<Status>(NavigationSession&)>& body);
 
-  WireFrame HandleQuery(const RequestView& request, WireProto proto);
+  WireFrame HandleQuery(const RequestView& request, WireProto proto,
+                        SessionManager::DiskWork* on_reactor);
   std::optional<WireFrame> HandleExpand(const RequestView& request,
-                                        WireProto proto, bool on_reactor);
-  std::optional<WireFrame> HandleShowResults(const RequestView& request,
-                                             WireProto proto, bool on_reactor);
-  std::optional<WireFrame> HandleBacktrack(const RequestView& request,
-                                           WireProto proto, bool on_reactor);
+                                        WireProto proto,
+                                        SessionManager::DiskWork* on_reactor);
+  std::optional<WireFrame> HandleShowResults(
+      const RequestView& request, WireProto proto,
+      SessionManager::DiskWork* on_reactor);
+  std::optional<WireFrame> HandleBacktrack(
+      const RequestView& request, WireProto proto,
+      SessionManager::DiskWork* on_reactor);
   WireFrame HandleBatchExpand(const RequestView& request, WireProto proto);
   std::optional<WireFrame> HandleFind(const RequestView& request,
-                                      WireProto proto, bool on_reactor);
+                                      WireProto proto,
+                                      SessionManager::DiskWork* on_reactor);
   WireFrame HandleView(const RequestView& request, WireProto proto);
   std::optional<WireFrame> HandleClose(const RequestView& request,
-                                       WireProto proto, bool on_reactor);
+                                       WireProto proto,
+                                       SessionManager::DiskWork* on_reactor);
   WireFrame HandleStats(const RequestView& request, WireProto proto);
   WireFrame HandleMetrics(const RequestView& request, WireProto proto);
   /// Owner-side artifact export: serializes the key's bundle (building it

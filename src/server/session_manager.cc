@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -59,6 +61,13 @@ Counter* SessionsRestored() {
       "Sessions resurrected from the spill tier");
   return c;
 }
+Counter* SessionsRestoredInline() {
+  static Counter* c = GlobalMetrics().GetCounter(
+      "bionav_sessions_restored_inline_total",
+      "Parked sessions restored on a reactor thread, from their in-memory "
+      "record");
+  return c;
+}
 Counter* SessionsRestoreFailed() {
   static Counter* c = GlobalMetrics().GetCounter(
       "bionav_session_restore_failed_total",
@@ -68,6 +77,12 @@ Counter* SessionsRestoreFailed() {
 Gauge* SessionsSpilledNow() {
   static Gauge* g = GlobalMetrics().GetGauge(
       "bionav_sessions_spilled", "Sessions currently parked on disk");
+  return g;
+}
+Gauge* ParkedRecordBytes() {
+  static Gauge* g = GlobalMetrics().GetGauge(
+      "bionav_session_parked_record_bytes",
+      "Bytes of parked sessions' snapshot records kept in memory");
   return g;
 }
 Gauge* SessionHeapBytes() {
@@ -149,14 +164,14 @@ void SessionManager::AdoptParked() {
   uint64_t max_seen = 0;
   for (std::string& token : spill_->ListTokens()) {
     max_seen = std::max(max_seen, TokenOrdinal(token));
-    spilled_tokens_.insert(std::move(token));
+    parked_.emplace(std::move(token), Parked());
   }
   next_token_ = max_seen + 1;
   Result<uint64_t> manifest = spill_->ReadManifest();
   if (manifest.ok()) {
     next_token_ = std::max(next_token_, manifest.ValueOrDie());
   }
-  SessionsSpilledNow()->Add(static_cast<int64_t>(spilled_tokens_.size()));
+  SessionsSpilledNow()->Add(static_cast<int64_t>(parked_.size()));
 }
 
 SessionManager::~SessionManager() {
@@ -165,7 +180,8 @@ SessionManager::~SessionManager() {
   // process) would leak residue into bionav_sessions_live and friends.
   SessionsLive()->Add(-static_cast<int64_t>(sessions_.size()));
   SessionHeapBytes()->Add(-static_cast<int64_t>(resident_bytes_));
-  SessionsSpilledNow()->Add(-static_cast<int64_t>(spilled_tokens_.size()));
+  SessionsSpilledNow()->Add(-static_cast<int64_t>(parked_.size()));
+  ParkedRecordBytes()->Add(-static_cast<int64_t>(record_bytes_));
 }
 
 int64_t SessionManager::NowMs() const { return options_.clock(); }
@@ -185,6 +201,39 @@ std::shared_ptr<const QueryArtifacts> SessionManager::ResolveArtifacts(
   return BuildQueryArtifacts(*hierarchy_, *eutils_, query, cost_params_);
 }
 
+std::shared_ptr<const QueryArtifacts> SessionManager::ArtifactsFor(
+    const std::string& query, bool* cache_hit) {
+  if (cache_ == nullptr) return ResolveArtifacts(query, /*allow_peer=*/false);
+  QueryArtifactCache::Lookup lookup =
+      cache_->GetOrBuild(NormalizeQueryKey(query), [&] {
+        return ResolveArtifacts(query, /*allow_peer=*/true);
+      });
+  if (cache_hit != nullptr) *cache_hit = lookup.hit;
+  return std::move(lookup.artifacts);
+}
+
+Result<std::unique_ptr<NavigationSession>> SessionManager::RebuildSession(
+    std::string_view record, bool resident_only) {
+  Result<SessionSnapshot> decoded = DecodeSnapshot(record);
+  if (!decoded.ok()) return decoded.status();
+  const SessionSnapshot& snap = decoded.ValueOrDie();
+  std::shared_ptr<const QueryArtifacts> artifacts;
+  if (!resident_only) {
+    artifacts = ArtifactsFor(snap.query, nullptr);
+  } else if (cache_ != nullptr) {
+    artifacts = cache_->Peek(NormalizeQueryKey(snap.query));
+    if (artifacts != nullptr &&
+        artifacts->nav->size() > kInlineRestoreMaxNodes) {
+      return Status::FailedPrecondition("tree too large to restore inline");
+    }
+  }
+  if (artifacts == nullptr) {
+    return Status::FailedPrecondition("artifacts not resident");
+  }
+  return RestoreSession(snap, eutils_, std::move(artifacts),
+                        strategy_factory_);
+}
+
 Result<std::string> SessionManager::Create(const std::string& query,
                                            size_t* result_size) {
   Result<CreateInfo> info = CreateSession(query);
@@ -194,7 +243,7 @@ Result<std::string> SessionManager::Create(const std::string& query,
 }
 
 Result<SessionManager::CreateInfo> SessionManager::CreateSession(
-    const std::string& query) {
+    const std::string& query, DiskWork* deferred) {
   if (query.empty()) {
     return Status::InvalidArgument("empty query");
   }
@@ -203,21 +252,10 @@ Result<SessionManager::CreateInfo> SessionManager::CreateSession(
   // against other sessions. With the cache on, the build also singleflights
   // — concurrent QUERYs of one normalized key share a single build.
   CreateInfo info;
-  std::shared_ptr<const QueryArtifacts> artifacts;
-  if (cache_ != nullptr) {
-    QueryArtifactCache::Lookup lookup =
-        cache_->GetOrBuild(NormalizeQueryKey(query), [&] {
-          return ResolveArtifacts(query, /*allow_peer=*/true);
-        });
-    artifacts = std::move(lookup.artifacts);
-    info.cache_hit = lookup.hit;
-  } else {
-    artifacts = ResolveArtifacts(query, /*allow_peer=*/false);
-  }
-  info.artifacts = artifacts;
+  info.artifacts = ArtifactsFor(query, &info.cache_hit);
   auto entry = std::make_shared<Entry>();
   entry->session = std::make_unique<NavigationSession>(
-      eutils_, std::move(artifacts), query, strategy_factory_);
+      eutils_, info.artifacts, query, strategy_factory_);
   info.result_size = entry->session->result_size();
   entry->mem_bytes = entry->session->MemoryBytes();
 
@@ -242,14 +280,8 @@ Result<SessionManager::CreateInfo> SessionManager::CreateSession(
     EvictToCapacityLocked(&evicted);
     info.token = entry->token;
   }
-  FinishSpills(std::move(evicted));
+  FinishSpills(std::move(evicted), deferred);
   return info;
-}
-
-bool SessionManager::CreateWouldSpill() const {
-  if (spill_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size() - spilling_ >= options_.max_sessions;
 }
 
 Status SessionManager::WithSession(
@@ -294,21 +326,27 @@ Status SessionManager::WithSession(
 }
 
 bool SessionManager::TryWithSession(
-    std::string_view token, const std::function<bool(NavigationSession&)>& fn) {
+    std::string_view token, const std::function<bool(NavigationSession&)>& fn,
+    DiskWork* deferred) {
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(token);
-    if (it == sessions_.end()) return false;
-    Entry& found = *it->second;
-    if (found.inflight != 0 || found.spill != SpillState::kNone ||
-        ExpiredLocked(found, NowMs()) || !found.op_mu.try_lock()) {
-      return false;
+    if (it != sessions_.end()) {
+      Entry& found = *it->second;
+      if (found.inflight != 0 || Writing(found.spill) ||
+          ExpiredLocked(found, NowMs()) || !found.op_mu.try_lock()) {
+        return false;
+      }
+      // Pinned against spill and expiry, but not touched: a declined try
+      // must leave the LRU order and the counters as they were.
+      ++found.inflight;
+      entry = it->second;
     }
-    // Pinned against spill and expiry, but not touched: a declined try
-    // must leave the LRU order and the counters as they were.
-    ++found.inflight;
-    entry = it->second;
+  }
+  if (entry == nullptr) {
+    entry = TryRestore(token, deferred);
+    if (entry == nullptr) return false;
   }
   std::unique_lock<std::mutex> op_lock(entry->op_mu, std::adopt_lock);
   const bool served = fn(*entry->session);
@@ -321,6 +359,114 @@ bool SessionManager::TryWithSession(
     SettleLocked(entry, bytes);
   }
   return served;
+}
+
+std::shared_ptr<SessionManager::Entry> SessionManager::TryRestore(
+    std::string_view token, DiskWork* deferred) {
+  std::shared_ptr<const std::string> record;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto parked = parked_.find(token);
+    if (parked == parked_.end() || parked->second.record == nullptr ||
+        restoring_.InFlight(token)) {
+      return nullptr;
+    }
+    record = parked->second.record;
+    restoring_.Join(token);  // Now this restore's owner.
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  Result<std::unique_ptr<NavigationSession>> restored =
+      RebuildSession(*record, /*resident_only=*/true);
+  const int64_t restore_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  std::shared_ptr<Entry> entry;
+  std::promise<void> landed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    landed = restoring_.Land(token);
+    // Declined (its artifacts are not resident, or the record does not
+    // replay — the pool's restore then reports why), or closed meanwhile.
+    auto parked = parked_.find(token);
+    if (restored.ok() && parked != parked_.end()) {
+      entry = InsertRestoredLocked(parked, restored.TakeValue(), restore_us);
+      ++entry->inflight;  // Pinned; the op is counted once it is served.
+      ++counters_.restored_inline;
+      SessionsRestoredInline()->Increment();
+      // The record's file is still on disk; the pool unlinks it.
+      entry->spill = SpillState::kStaleFile;
+      deferred->unlinks_.push_back(entry);
+      entry->op_mu.lock();  // Fresh, so uncontended.
+      EvictToCapacityLocked(&deferred->spills_);
+    }
+  }
+  landed.set_value();
+  return entry;
+}
+
+std::shared_ptr<SessionManager::Entry> SessionManager::InsertRestoredLocked(
+    ParkedMap::iterator parked, std::unique_ptr<NavigationSession> session,
+    int64_t restore_us) {
+  auto entry = std::make_shared<Entry>();
+  entry->token = parked->first;
+  UnparkLocked(parked);
+  entry->session = std::move(session);
+  entry->mem_bytes = entry->session->MemoryBytes();
+  entry->last_used_ms = NowMs();
+  sessions_.emplace(entry->token, entry);
+  LruPushFrontLocked(*entry);
+  resident_bytes_ += entry->mem_bytes;
+  SessionHeapBytes()->Add(static_cast<int64_t>(entry->mem_bytes));
+  SessionsLive()->Add(1);
+  ++counters_.restored;
+  SessionsRestored()->Increment();
+  RestoreLatency()->Record(restore_us);
+  return entry;
+}
+
+void SessionManager::FinishDiskWork(DiskWork work) {
+  FinishSpills(std::move(work.spills_));
+  for (const std::shared_ptr<Entry>& entry : work.unlinks_) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // A spill that began meanwhile took the file over.
+      if (entry->spill != SpillState::kStaleFile) continue;
+      entry->spill = SpillState::kUnlinking;
+    }
+    spill_->Delete(entry->token);
+    std::lock_guard<std::mutex> lock(mu_);
+    entry->spill = SpillState::kNone;
+    unlinked_.notify_all();
+  }
+}
+
+void SessionManager::ParkLocked(const std::string& token,
+                                std::shared_ptr<const std::string> record) {
+  auto [it, fresh] = parked_.try_emplace(token);
+  if (fresh) SessionsSpilledNow()->Add(1);
+  DropRecordLocked(it->second);
+  record_bytes_ += record->size();
+  ParkedRecordBytes()->Add(static_cast<int64_t>(record->size()));
+  it->second.record = std::move(record);
+  it->second.age = records_by_age_.insert(records_by_age_.end(), token);
+  if (records_by_age_.size() > options_.max_sessions) {
+    DropRecordLocked(parked_.find(records_by_age_.front())->second);
+  }
+}
+
+void SessionManager::UnparkLocked(ParkedMap::iterator parked) {
+  DropRecordLocked(parked->second);
+  parked_.erase(parked);
+  SessionsSpilledNow()->Add(-1);
+}
+
+void SessionManager::DropRecordLocked(Parked& parked) {
+  if (parked.record == nullptr) return;
+  record_bytes_ -= parked.record->size();
+  ParkedRecordBytes()->Add(-static_cast<int64_t>(parked.record->size()));
+  records_by_age_.erase(parked.age);
+  parked.record.reset();
 }
 
 void SessionManager::SettleLocked(const std::shared_ptr<Entry>& entry,
@@ -359,9 +505,9 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
   // entry it inserted. Only the owner ever reads or deletes the record, so
   // a toucher can never find the file already consumed and mistake a live
   // session for a lost one.
-  std::promise<void> done;
+  std::shared_ptr<const std::string> record;
   while (true) {
-    std::shared_future<void> in_flight;
+    std::optional<KeyedSingleflight<void>::Future> in_flight;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = sessions_.find(token);
@@ -370,54 +516,32 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
         *status = Status::OK();
         return it->second;
       }
-      auto pending = restoring_.find(token);
-      if (pending == restoring_.end()) {
-        if (spilled_tokens_.find(token) == spilled_tokens_.end()) {
-          return nullptr;
-        }
-        restoring_.emplace(token_str, done.get_future().share());
-        break;
+      if (!restoring_.InFlight(token)) {
+        auto parked = parked_.find(token);
+        if (parked == parked_.end()) return nullptr;
+        record = parked->second.record;
       }
-      in_flight = pending->second;
+      in_flight = restoring_.Join(token);
     }
-    in_flight.wait();
+    if (!in_flight.has_value()) break;
+    in_flight->wait();
   }
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Read, decode, rebuild artifacts and replay — all outside mu_; a cold
-  // restore costs a disk read plus (usually) an artifact-cache hit, and
-  // must not stall traffic to resident sessions.
-  Status fail;
-  std::unique_ptr<NavigationSession> restored;
-  Result<std::string> raw = spill_->Get(token_str);
-  if (!raw.ok()) {
-    fail = raw.status();
+  // Decode, look up artifacts and replay — all outside mu_, and so is the
+  // disk read for a token adopted from a predecessor (the only kind whose
+  // record is not in memory). The usual restore is an artifact-cache hit
+  // and must not stall traffic to resident sessions.
+  Result<std::unique_ptr<NavigationSession>> restored =
+      Status::NotFound("no record");
+  if (record != nullptr) {
+    restored = RebuildSession(*record, /*resident_only=*/false);
   } else {
-    Result<SessionSnapshot> decoded = DecodeSnapshot(raw.ValueOrDie());
-    if (!decoded.ok()) {
-      fail = decoded.status();
-    } else {
-      const SessionSnapshot& snap = decoded.ValueOrDie();
-      std::shared_ptr<const QueryArtifacts> artifacts;
-      if (cache_ != nullptr) {
-        artifacts = cache_
-                        ->GetOrBuild(NormalizeQueryKey(snap.query),
-                                     [&] {
-                                       return ResolveArtifacts(
-                                           snap.query, /*allow_peer=*/true);
-                                     })
-                        .artifacts;
-      } else {
-        artifacts = ResolveArtifacts(snap.query, /*allow_peer=*/false);
-      }
-      Result<std::unique_ptr<NavigationSession>> session = RestoreSession(
-          snap, eutils_, std::move(artifacts), strategy_factory_);
-      if (!session.ok()) {
-        fail = session.status();
-      } else {
-        restored = session.TakeValue();
-      }
-    }
+    Result<std::string> raw = spill_->Get(token_str);
+    restored = raw.ok() ? RebuildSession(raw.ValueOrDie(),
+                                         /*resident_only=*/false)
+                        : Result<std::unique_ptr<NavigationSession>>(
+                              raw.status());
   }
   // The record is consumed either way: restored into the heap, or unusable
   // (corrupt, or the world changed under it) and dropped so the failure is
@@ -432,44 +556,34 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
   std::shared_ptr<Entry> entry;
   std::vector<PendingSpill> evicted;
   bool lost = false;
+  std::promise<void> landed;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    restoring_.erase(token_str);
+    landed = restoring_.Land(token);
     // A CLOSE that raced the restore already unparked the token (and
     // counted the close); the session stays closed.
-    auto parked = spilled_tokens_.find(token);
-    if (parked != spilled_tokens_.end()) {
-      spilled_tokens_.erase(parked);
-      SessionsSpilledNow()->Add(-1);
-      if (restored == nullptr) {
+    auto parked = parked_.find(token);
+    if (parked != parked_.end()) {
+      if (!restored.ok()) {
+        UnparkLocked(parked);
         ++counters_.restore_failed;
         lost = true;
       } else {
-        entry = std::make_shared<Entry>();
-        entry->token = token_str;
-        entry->session = std::move(restored);
-        entry->mem_bytes = entry->session->MemoryBytes();
-        sessions_.emplace(entry->token, entry);
-        LruPushFrontLocked(*entry);
-        resident_bytes_ += entry->mem_bytes;
-        SessionHeapBytes()->Add(static_cast<int64_t>(entry->mem_bytes));
-        SessionsLive()->Add(1);
-        ++counters_.restored;
-        SessionsRestored()->Increment();
-        RestoreLatency()->Record(restore_us);
+        entry =
+            InsertRestoredLocked(parked, restored.TakeValue(), restore_us);
         PinLocked(*entry);
         EvictToCapacityLocked(&evicted);
       }
     }
   }
-  done.set_value();
+  landed.set_value();
   FinishSpills(std::move(evicted));
   if (lost) {
     // Surfaces as NotFound — the wire maps it to UNKNOWN_SESSION like any
     // dead token.
     SessionsRestoreFailed()->Increment();
-    *status = Status::NotFound("session '" + token_str +
-                               "' unrecoverable: " + fail.ToString());
+    *status = Status::NotFound("session '" + token_str + "' unrecoverable: " +
+                               restored.status().ToString());
   }
   if (entry != nullptr) *status = Status::OK();
   return entry;
@@ -498,10 +612,9 @@ bool SessionManager::Close(std::string_view token) {
       SessionsClosed()->Increment();
       return true;
     }
-    auto parked = spilled_tokens_.find(token);
-    if (parked == spilled_tokens_.end()) return false;
-    spilled_tokens_.erase(parked);
-    SessionsSpilledNow()->Add(-1);
+    auto parked = parked_.find(token);
+    if (parked == parked_.end()) return false;
+    UnparkLocked(parked);
     ++counters_.closed;
     SessionsClosed()->Increment();
   }
@@ -516,7 +629,7 @@ bool SessionManager::TryClose(std::string_view token) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(token);
   if (it == sessions_.end() || it->second->inflight != 0 ||
-      it->second->spill != SpillState::kNone) {
+      Writing(it->second->spill)) {
     return false;
   }
   EraseResidentLocked(it);
@@ -537,7 +650,7 @@ size_t SessionManager::SpillIdle() {
     const int64_t now = NowMs();
     for (Entry* e = lru_.lru_prev; e != &lru_; e = e->lru_prev) {
       if (now - e->last_used_ms < options_.spill_after_ms) break;
-      if (e->inflight == 0 && e->spill == SpillState::kNone) {
+      if (SpillableLocked(*e)) {
         candidates.push_back(sessions_.find(e->token)->second);
       }
     }
@@ -568,11 +681,15 @@ size_t SessionManager::SpillCandidates(
   for (const std::shared_ptr<Entry>& entry : candidates) {
     std::vector<PendingSpill> begun;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
+      if (min_idle_ms < 0) {
+        unlinked_.wait(lock,
+                       [&] { return entry->spill != SpillState::kUnlinking; });
+      }
       // Re-check under the lock: the session may have been touched,
       // closed or pinned since the candidate scan.
-      if (FindListedLocked(entry) == sessions_.end() || entry->inflight != 0 ||
-          entry->spill != SpillState::kNone) {
+      if (FindListedLocked(entry) == sessions_.end() ||
+          !SpillableLocked(*entry)) {
         continue;
       }
       if (min_idle_ms >= 0 && NowMs() - entry->last_used_ms < min_idle_ms) {
@@ -587,19 +704,25 @@ size_t SessionManager::SpillCandidates(
 
 SessionManager::PendingSpill SessionManager::BeginSpillLocked(
     const std::shared_ptr<Entry>& entry, bool evicting) {
-  BIONAV_CHECK_EQ(entry->inflight, 0);
-  BIONAV_CHECK(entry->spill == SpillState::kNone);
+  BIONAV_CHECK(SpillableLocked(*entry));
   PendingSpill spill;
   spill.entry = entry;
-  spill.record = EncodeSnapshot(
-      SnapshotSession(*entry->session, entry->token, WallUnixMs()));
+  spill.record = std::make_shared<const std::string>(EncodeSnapshot(
+      SnapshotSession(*entry->session, entry->token, WallUnixMs())));
   spill.evicting = evicting;
   entry->spill = SpillState::kWriting;
   ++spilling_;
   return spill;
 }
 
-size_t SessionManager::FinishSpills(std::vector<PendingSpill> spills) {
+size_t SessionManager::FinishSpills(std::vector<PendingSpill> spills,
+                                    DiskWork* deferred) {
+  if (deferred != nullptr) {
+    for (PendingSpill& spill : spills) {
+      deferred->spills_.push_back(std::move(spill));
+    }
+    return 0;
+  }
   size_t parked = 0;
   // FinishSpill may append the spills of a re-run eviction.
   for (size_t i = 0; i < spills.size(); ++i) {
@@ -612,55 +735,48 @@ size_t SessionManager::FinishSpills(std::vector<PendingSpill> spills) {
 bool SessionManager::FinishSpill(PendingSpill& spill,
                                  std::vector<PendingSpill>* evicted) {
   Entry& entry = *spill.entry;
-  Status written = spill_->Put(entry.token, spill.record);
+  Status written = spill_->Put(entry.token, *spill.record);
   if (!written.ok()) {
     BIONAV_LOG(Error) << "spill of '" << entry.token
                       << "' failed: " << written.ToString();
-  }
-  {
+  } else {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = FindListedLocked(spill.entry);
-    const bool untouched =
-        it != sessions_.end() && entry.spill == SpillState::kWriting;
-    if (written.ok() && untouched) {
-      if (spilled_tokens_.insert(entry.token).second) {
-        SessionsSpilledNow()->Add(1);
-      }
+    if (it != sessions_.end() && entry.spill == SpillState::kWriting) {
+      ParkLocked(entry.token, std::move(spill.record));
       ++counters_.spilled;
       SessionsSpilled()->Increment();
       EraseResidentLocked(it);
       entry.spill = SpillState::kNone;
       return true;
     }
-    if (!written.ok()) {
-      if (untouched && spill.evicting) {
-        // A capacity victim that cannot be parked is dropped, as it would
-        // be without the spill tier.
-        ++counters_.evicted_lru;
-        SessionsEvicted()->Increment();
-        EraseResidentLocked(it);
-      }
-      EndSpillLocked(spill.entry);
-      EvictToCapacityLocked(evicted);
-      return false;
-    }
   }
-  // A touch or CLOSE won the race: the session stays resident (or stays
-  // closed) and the record just written must go. The entry still owns its
-  // token's file until then, so no other spill of it can begin meanwhile.
+  // Not parked: a touch or CLOSE won the race, or the write failed. The
+  // session stays resident (or closed), and what is at the token's path —
+  // the record just written, or a stale one this spill took over — must
+  // go. The entry still owns its token's file until then, so no other
+  // spill of it can begin meanwhile.
   spill_->Delete(entry.token);
   std::lock_guard<std::mutex> lock(mu_);
+  auto it = FindListedLocked(spill.entry);
+  if (!written.ok() && spill.evicting && it != sessions_.end() &&
+      entry.spill == SpillState::kWriting) {
+    // A capacity victim that cannot be parked is dropped, as it would be
+    // without the spill tier.
+    ++counters_.evicted_lru;
+    SessionsEvicted()->Increment();
+    EraseResidentLocked(it);
+  }
   EndSpillLocked(spill.entry);
-  // Capacity did not count the entry while it was being spilled; now that
-  // it stays, the table may be over its cap, and the eviction that brings
-  // it back is written by this same call.
+  // Capacity did not count the entry while it was being spilled; if it
+  // stays, the table may be over its cap, and the eviction that brings it
+  // back is written by this same call.
   EvictToCapacityLocked(evicted);
   return false;
 }
 
 void SessionManager::EndSpillLocked(const std::shared_ptr<Entry>& entry) {
-  if (entry->spill != SpillState::kNone &&
-      FindListedLocked(entry) != sessions_.end()) {
+  if (Writing(entry->spill) && FindListedLocked(entry) != sessions_.end()) {
     --spilling_;
   }
   entry->spill = SpillState::kNone;
@@ -677,7 +793,7 @@ void SessionManager::EraseResidentLocked(SessionMap::iterator it) {
   resident_bytes_ -= entry.mem_bytes;
   SessionHeapBytes()->Add(-static_cast<int64_t>(entry.mem_bytes));
   SessionsLive()->Add(-1);
-  if (entry.spill != SpillState::kNone) --spilling_;
+  if (Writing(entry.spill)) --spilling_;
   LruUnlinkLocked(entry);
   sessions_.erase(it);
 }
@@ -709,7 +825,8 @@ SessionManagerStats SessionManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SessionManagerStats out = counters_;
   out.active = sessions_.size();
-  out.spilled_now = spilled_tokens_.size();
+  out.spilled_now = parked_.size();
+  out.parked_record_bytes = record_bytes_;
   out.resident_bytes = resident_bytes_;
   out.artifact_builds = artifact_builds_.load(std::memory_order_relaxed);
   out.peer_fetch_hits = peer_fetch_hits_.load(std::memory_order_relaxed);
@@ -730,7 +847,7 @@ void SessionManager::SweepExpiredLocked(int64_t now_ms) {
   for (Entry* e = lru_.lru_prev; e != &lru_;) {
     if (now_ms - e->last_used_ms <= options_.ttl_ms) break;
     Entry* older = e->lru_prev;
-    if (ExpiredLocked(*e, now_ms) && e->spill == SpillState::kNone) {
+    if (ExpiredLocked(*e, now_ms) && !Writing(e->spill)) {
       ++counters_.expired_ttl;
       SessionsExpired()->Increment();
       EraseResidentLocked(sessions_.find(e->token));
@@ -747,7 +864,7 @@ void SessionManager::EvictToCapacityLocked(std::vector<PendingSpill>* pending) {
   // on disk instead of destroyed, its write left to the caller.
   Entry* e = lru_.lru_prev;
   while (sessions_.size() - spilling_ > options_.max_sessions) {
-    while (e != &lru_ && (e->inflight != 0 || e->spill != SpillState::kNone)) {
+    while (e != &lru_ && !SpillableLocked(*e)) {
       e = e->lru_prev;
     }
     // Everything is pinned: stay over capacity for a moment rather than

@@ -2,20 +2,21 @@
 #define BIONAV_SERVER_SESSION_MANAGER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/query_artifact_cache.h"
 #include "persist/spill_store.h"
 #include "sim/session.h"
+#include "util/keyed_singleflight.h"
 
 namespace bionav {
 
@@ -83,12 +84,17 @@ struct SessionManagerStats {
   int64_t closed = 0;
   /// Operations dispatched through WithSession (EXPAND, SHOWRESULTS, ...).
   int64_t operations = 0;
-  /// Spill-tier traffic (all zero when spill_dir is empty).
+  /// Spill-tier traffic (all zero when spill_dir is empty). `restored`
+  /// counts every restore; `restored_inline` the subset that ran on a
+  /// reactor thread (TryWithSession), the rest ran on the pool.
   int64_t spilled = 0;
   int64_t restored = 0;
+  int64_t restored_inline = 0;
   int64_t restore_failed = 0;
   /// Sessions currently parked on disk.
   size_t spilled_now = 0;
+  /// Bytes of the parked sessions' snapshot records kept in memory.
+  size_t parked_record_bytes = 0;
   /// Estimated heap bytes of the resident sessions (the spill tier's
   /// memory-bounding claim is judged against this gauge).
   size_t resident_bytes = 0;
@@ -112,6 +118,9 @@ struct SessionManagerStats {
 /// The map mutex is never held across disk I/O: spills encode under it and
 /// write outside it, and a parked token's file is unlinked outside it, so
 /// a reactor thread may take it (TryWithSession, an inline CreateSession).
+/// The reactor's calls do no disk I/O at all: they hand what they would
+/// write or unlink back as DiskWork, for the caller to run off the
+/// reactor with FinishDiskWork.
 ///
 /// Eviction never blocks on a session being operated on: entries are
 /// shared_ptr-owned, so an LRU/TTL eviction or CLOSE unlinks the entry from
@@ -119,6 +128,11 @@ struct SessionManagerStats {
 /// session before it is destroyed.
 class SessionManager {
  public:
+  /// The largest navigation tree TryWithSession restores: building the
+  /// ActiveTree and replaying the log grow with the tree, so a larger
+  /// tree's restore is left to the pool.
+  static constexpr size_t kInlineRestoreMaxNodes = 2048;
+
   SessionManager(const ConceptHierarchy* hierarchy, const EUtilsClient* eutils,
                  StrategyFactory strategy_factory,
                  SessionManagerOptions options = SessionManagerOptions(),
@@ -134,6 +148,11 @@ class SessionManager {
 
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
+
+  /// Spill-tier disk work a reactor-side call left undone: snapshots of
+  /// evicted sessions to write, and stale records of sessions the reactor
+  /// restored to unlink. Run it on a pool thread with FinishDiskWork.
+  class DiskWork;
 
   /// What CreateSession produced: the registered session's token, the
   /// query's result size, and whether the artifacts came from the shared
@@ -155,18 +174,15 @@ class SessionManager {
   /// overlap, while concurrent creates of the *same* query singleflight on
   /// one build. When the new session pushes the table past capacity with
   /// the spill tier on, the victim's snapshot is written by this call,
-  /// after the map lock is released (see CreateWouldSpill).
-  Result<CreateInfo> CreateSession(const std::string& query);
+  /// after the map lock is released — or, with `deferred`, left there for
+  /// the caller.
+  Result<CreateInfo> CreateSession(const std::string& query,
+                                   DiskWork* deferred = nullptr);
 
   /// Back-compat wrapper over CreateSession: returns the token; the result
   /// size is reported through `*result_size` when non-null.
   Result<std::string> Create(const std::string& query,
                              size_t* result_size = nullptr);
-
-  /// True when a CreateSession now would evict a session to disk — the
-  /// reactor then leaves the QUERY to the pool. A hint: the table can fill
-  /// between this probe and the create.
-  bool CreateWouldSpill() const;
 
   /// Looks up `token`, refreshes its TTL/LRU stamp, and runs `fn` on the
   /// session under its per-session mutex. A token parked in the spill tier
@@ -181,21 +197,33 @@ class SessionManager {
 
   /// The non-blocking WithSession the reactor uses. Runs `fn` only when
   /// `token` is resident, unexpired, not being spilled, pinned by no other
-  /// operation, and its op mutex is free; `fn` returns true when it served
-  /// the operation. Returns false — with no restore, expiry, LRU touch or
-  /// counter change — when any of that fails or `fn` declines, in which
-  /// case `fn` must have left the session as it found it; the caller then
-  /// takes the blocking path.
+  /// operation, and its op mutex is free — or when it is parked with its
+  /// record in memory, no other caller is restoring it, and its query's
+  /// artifacts are resident in the cache with at most
+  /// kInlineRestoreMaxNodes tree nodes: then it is restored here, from
+  /// memory, first. `fn` returns true when it served the operation.
+  /// Returns false when any of that fails or `fn` declines, in which case
+  /// `fn` must have left the session as it found it; the caller then takes
+  /// the blocking path. A declined call changes no LRU stamp or op
+  /// counter, but a restore it ran stays done. Disk work (the restored
+  /// session's stale record, evictions) goes to `deferred`.
   bool TryWithSession(std::string_view token,
-                      const std::function<bool(NavigationSession&)>& fn);
+                      const std::function<bool(NavigationSession&)>& fn,
+                      DiskWork* deferred);
+
+  /// Runs the disk work a reactor-side call deferred: writes its eviction
+  /// spills (re-running capacity eviction as FinishSpills does) and
+  /// unlinks its stale records. Call it off the reactor.
+  void FinishDiskWork(DiskWork work);
 
   /// Closes (unregisters) a session, resident or spilled. False if the
   /// token was not live.
   bool Close(std::string_view token);
 
   /// The reactor's Close: closes `token` only when it is resident, not
-  /// being spilled and pinned by no operation (nothing to unlink on disk,
-  /// nothing to wait for). False, changing nothing, otherwise.
+  /// being spilled and pinned by no operation (nothing to unlink here: a
+  /// stale record is its pending unlink's), nothing to wait for. False,
+  /// changing nothing, otherwise.
   bool TryClose(std::string_view token);
 
   /// Spills every resident session idle for spill_after_ms (skipping any
@@ -205,7 +233,8 @@ class SessionManager {
 
   /// Spills every resident session regardless of idleness and persists the
   /// token counter in the spill manifest — the warm-restart path (call
-  /// after the server drained, so nothing is in flight). Returns the
+  /// after the server drained, so nothing is in flight). A session whose
+  /// stale record is still to be unlinked is spilled over it. Returns the
   /// number written.
   size_t SpillAll();
 
@@ -229,6 +258,15 @@ class SessionManager {
   const QueryArtifactCache* cache() const { return cache_.get(); }
 
  private:
+  /// Transparent hashing so string_view tokens (viewing a binary request
+  /// frame) probe the maps without an allocating conversion.
+  struct TokenHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view token) const {
+      return std::hash<std::string_view>()(token);
+    }
+  };
+
   /// Where an entry stands with the spill tier. Guarded by mu_.
   enum class SpillState : uint8_t {
     kNone,
@@ -238,7 +276,19 @@ class SessionManager {
     /// As kWriting, but a touch or CLOSE came meanwhile and wins: the
     /// writer deletes its file and the session stays as it is.
     kCancelled,
+    /// Restored on the reactor with its record still on disk: a DiskWork
+    /// unlink owns that file. A spill may begin and take the file over
+    /// (its write replaces the record); the unlink then leaves it alone.
+    kStaleFile,
+    /// The stale file is being unlinked outside the lock; no spill may
+    /// begin until that is done.
+    kUnlinking,
   };
+  /// A snapshot write is in flight (kWriting or kCancelled): the entry is
+  /// on its way out, so capacity does not count it.
+  static bool Writing(SpillState state) {
+    return state == SpillState::kWriting || state == SpillState::kCancelled;
+  }
 
   struct Entry {
     std::string token;
@@ -265,11 +315,36 @@ class SessionManager {
   /// A snapshot encoded under mu_, to be written outside it.
   struct PendingSpill {
     std::shared_ptr<Entry> entry;
-    std::string record;
+    std::shared_ptr<const std::string> record;
     /// Capacity eviction: a failed write still drops the session.
     bool evicting = false;
   };
 
+  /// A parked token. Its sealed record is kept in memory as written, for
+  /// at most max_sessions tokens (the oldest fall back to disk only), so a
+  /// restore reads the file only for those and for tokens adopted from a
+  /// predecessor.
+  struct Parked {
+    std::shared_ptr<const std::string> record;
+    /// Its place in records_by_age_, while `record` is set.
+    std::list<std::string>::iterator age;
+  };
+  using ParkedMap =
+      std::unordered_map<std::string, Parked, TokenHash, std::equal_to<>>;
+
+ public:
+  class DiskWork {
+   public:
+    bool empty() const { return spills_.empty() && unlinks_.empty(); }
+
+   private:
+    friend class SessionManager;
+    std::vector<PendingSpill> spills_;
+    /// Entries restored as kStaleFile, whose token's file is to go.
+    std::vector<std::shared_ptr<Entry>> unlinks_;
+  };
+
+ private:
   int64_t NowMs() const;
   /// Initializes the spill store and adopts what a predecessor parked in
   /// it, keeping the token mint ahead of the parked tokens.
@@ -279,6 +354,17 @@ class SessionManager {
   /// the cache's singleflight builder on the cached path.
   std::shared_ptr<const QueryArtifacts> ResolveArtifacts(
       const std::string& query, bool allow_peer);
+  /// The artifacts of `query`: through the cache (its singleflight, then
+  /// a peer fetch or local build) when it is on, else built privately.
+  /// `*cache_hit` (optional) reports a cache hit.
+  std::shared_ptr<const QueryArtifacts> ArtifactsFor(const std::string& query,
+                                                     bool* cache_hit);
+  /// Decodes a parked record and replays it over its query's artifacts —
+  /// with `resident_only`, only when the cache already holds them and
+  /// their tree has at most kInlineRestoreMaxNodes nodes
+  /// (FailedPrecondition otherwise), so nothing is built or fetched.
+  Result<std::unique_ptr<NavigationSession>> RebuildSession(
+      std::string_view record, bool resident_only);
   /// The one TTL-expiry predicate: idle past the TTL and not pinned by an
   /// op in flight. Requires mu_ held.
   bool ExpiredLocked(const Entry& entry, int64_t now_ms) const;
@@ -296,8 +382,10 @@ class SessionManager {
                                 bool evicting);
   /// Writes begun spills (mu_ not held) with FinishSpill, including the
   /// evictions they re-run, so the table is back within capacity when it
-  /// returns. Returns the number of sessions parked.
-  size_t FinishSpills(std::vector<PendingSpill> spills);
+  /// returns. Returns the number of sessions parked. With `deferred`, the
+  /// spills are left there instead and nothing is written.
+  size_t FinishSpills(std::vector<PendingSpill> spills,
+                      DiskWork* deferred = nullptr);
   /// Writes a begun spill (mu_ not held), then parks the session if nobody
   /// touched or closed it meanwhile, or deletes the written file if
   /// somebody did. A session that stays resident counts against capacity
@@ -305,11 +393,18 @@ class SessionManager {
   /// `evicted`. True when the session was parked.
   bool FinishSpill(PendingSpill& spill, std::vector<PendingSpill>* evicted);
   /// Spills each of `candidates` that is still resident, idle by
-  /// `min_idle_ms` (< 0: any) and neither pinned nor being spilled.
+  /// `min_idle_ms` (< 0: any — and then a candidate whose stale file is
+  /// being unlinked is waited for) and neither pinned nor being spilled.
   size_t SpillCandidates(const std::vector<std::shared_ptr<Entry>>& candidates,
                          int64_t min_idle_ms);
   /// Ends a begun spill that did not park its session. Requires mu_.
   void EndSpillLocked(const std::shared_ptr<Entry>& entry);
+  /// True when a spill of `entry` may begin: no op pins it, and no spill
+  /// write or unlink of its file is in flight. Requires mu_.
+  static bool SpillableLocked(const Entry& entry) {
+    return entry.inflight == 0 && (entry.spill == SpillState::kNone ||
+                                   entry.spill == SpillState::kStaleFile);
+  }
   /// Marks `entry` used and in flight (one more operation). Requires mu_.
   void PinLocked(Entry& entry);
   /// After an operation on `entry` (mu_ held, pin already dropped): stamps
@@ -322,6 +417,27 @@ class SessionManager {
   /// `status`.
   std::shared_ptr<Entry> RestoreFromSpill(std::string_view token,
                                           Status* status);
+  /// TryWithSession's restore: restores a parked `token` from its
+  /// in-memory record when no one else is restoring it and its artifacts
+  /// are resident, and returns the entry pinned with its op_mu held, its
+  /// stale file and evictions left in `deferred`. Null, with the token
+  /// still parked, otherwise.
+  std::shared_ptr<Entry> TryRestore(std::string_view token,
+                                    DiskWork* deferred);
+  /// Registers a restored session under the token of `parked`, which is
+  /// unparked. Requires mu_.
+  std::shared_ptr<Entry> InsertRestoredLocked(
+      ParkedMap::iterator parked, std::unique_ptr<NavigationSession> session,
+      int64_t restore_us);
+  /// Parks `token` with its just-written `record` in memory, dropping the
+  /// oldest in-memory records past max_sessions. Requires mu_.
+  void ParkLocked(const std::string& token,
+                  std::shared_ptr<const std::string> record);
+  /// Unparks a token (restored or closed). Requires mu_.
+  void UnparkLocked(ParkedMap::iterator parked);
+  /// Drops a parked token's in-memory record (it stays parked on disk).
+  /// Requires mu_.
+  void DropRecordLocked(Parked& parked);
 
   /// LRU list maintenance (mu_ held): link at the head, move to the head,
   /// unlink.
@@ -337,14 +453,6 @@ class SessionManager {
   /// Shared per-query artifacts; null when caching is disabled.
   std::unique_ptr<QueryArtifactCache> cache_;
 
-  /// Transparent hashing so string_view tokens (viewing a binary request
-  /// frame) probe the map without an allocating conversion.
-  struct TokenHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view token) const {
-      return std::hash<std::string_view>()(token);
-    }
-  };
   using SessionMap = std::unordered_map<std::string, std::shared_ptr<Entry>,
                                         TokenHash, std::equal_to<>>;
 
@@ -368,14 +476,19 @@ class SessionManager {
   size_t spilling_ = 0;
   /// Tokens currently parked on disk (mirrors the spill directory, so a
   /// WithSession miss never pays a disk probe for a genuinely unknown
-  /// token). Guarded by mu_.
-  std::unordered_set<std::string, TokenHash, std::equal_to<>> spilled_tokens_;
+  /// token), with their in-memory records. Guarded by mu_.
+  ParkedMap parked_;
+  /// Tokens of parked_ whose record is in memory, oldest first. Guarded by
+  /// mu_.
+  std::list<std::string> records_by_age_;
+  /// Bytes of the in-memory records. Guarded by mu_.
+  size_t record_bytes_ = 0;
   /// Parked tokens whose restore is in flight; the future becomes ready
   /// when the owning toucher has inserted the session or given up on it.
   /// Guarded by mu_.
-  std::unordered_map<std::string, std::shared_future<void>, TokenHash,
-                     std::equal_to<>>
-      restoring_;
+  KeyedSingleflight<void> restoring_;
+  /// Signalled (under mu_) when an unlink of a stale file finishes.
+  std::condition_variable unlinked_;
   /// Running MemoryBytes() total of resident sessions. Guarded by mu_.
   size_t resident_bytes_ = 0;
   uint64_t next_token_ = 1;

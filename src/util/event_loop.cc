@@ -181,6 +181,12 @@ void EventLoop::DrainPending() {
   for (std::function<void()>& fn : batch) fn();
 }
 
+namespace {
+thread_local bool on_loop_thread = false;
+}  // namespace
+
+bool EventLoop::OnAnyLoopThread() { return on_loop_thread; }
+
 bool EventLoop::IsInLoopThread() const {
   return loop_thread_.load(std::memory_order_acquire) ==
          std::this_thread::get_id();
@@ -188,6 +194,7 @@ bool EventLoop::IsInLoopThread() const {
 
 void EventLoop::Run() {
   loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
+  on_loop_thread = true;
   next_tick_ms_ = NowMs() + tick_ms_;
   epoll_event events[128];
   while (!stop_.load(std::memory_order_acquire)) {
@@ -241,6 +248,7 @@ void EventLoop::Run() {
   }
   DrainPending();
   retired_handlers_.clear();
+  on_loop_thread = false;
   loop_thread_.store(std::thread::id(), std::memory_order_release);
 }
 

@@ -84,6 +84,10 @@ class EventLoop {
   /// True on the thread currently inside Run().
   bool IsInLoopThread() const;
 
+  /// True on a thread currently inside any EventLoop's Run() — a reactor
+  /// thread, which must never block on disk I/O.
+  static bool OnAnyLoopThread();
+
   /// Number of epoll_wait returns so far (the reactor wakeup metric).
   int64_t wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
 

@@ -1,10 +1,11 @@
 // Inline-dispatch tests of NavServer: with every compute worker held by a
 // cold EXPAND, the reactor still answers SHOWRESULTS, BACKTRACK, FIND and
-// CLOSE on a resident, idle session and an EXPAND whose cut the query's
-// memo holds — while an op on a parked session, on a pinned session, an
+// CLOSE on a resident, idle session, an op on a session it restores from
+// its in-memory record, and an EXPAND whose cut the query's memo holds —
+// while an op on a session adopted from disk, on a pinned session, an
 // EXPAND the memo cannot answer and a SHOWRESULTS over a large component
-// wait for the pool. Inline replies are
-// byte-identical to pool replies in both encodings, templates included.
+// wait for the pool. Inline replies are byte-identical to pool replies in
+// both encodings, templates and restores included.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -90,6 +91,37 @@ std::string MakeSpillDir(const std::string& name) {
   return dir;
 }
 
+/// Counts the spill tier's disk calls, and those made on a reactor thread.
+class RecordingSpillStore : public SpillStore {
+ public:
+  using SpillStore::SpillStore;
+
+  Status Put(const std::string& token, std::string_view record) override {
+    Record();
+    return SpillStore::Put(token, record);
+  }
+  Result<std::string> Get(const std::string& token) override {
+    Record();
+    return SpillStore::Get(token);
+  }
+  bool Delete(const std::string& token) override {
+    Record();
+    return SpillStore::Delete(token);
+  }
+
+  int calls() const { return calls_.load(); }
+  int on_reactor() const { return on_reactor_.load(); }
+
+ private:
+  void Record() {
+    ++calls_;
+    if (EventLoop::OnAnyLoopThread()) ++on_reactor_;
+  }
+
+  std::atomic<int> calls_{0};
+  std::atomic<int> on_reactor_{0};
+};
+
 int64_t InlineCount(RequestOp op) {
   const Counter* counter = GlobalMetrics().FindCounter(
       "bionav_server_inline_" + ToLower(RequestOpName(op)) + "_total");
@@ -114,7 +146,17 @@ class NavServerInline : public ::testing::TestWithParam<WireProto> {
       const EUtilsClient* eutils = nullptr) {
     NavServerOptions options;
     options.threads = 1;  // One worker: one blocked cut holds the pool.
-    options.session.spill_dir = spill_dir;
+    return StartServerWith(
+        options,
+        spill_dir.empty() ? nullptr : std::make_unique<SpillStore>(spill_dir),
+        hierarchy, eutils);
+  }
+
+  /// As StartServer, with `options` and the spill tier on `spill`.
+  std::unique_ptr<NavServer> StartServerWith(
+      NavServerOptions options, std::unique_ptr<SpillStore> spill,
+      const ConceptHierarchy* hierarchy = nullptr,
+      const EUtilsClient* eutils = nullptr) {
     CutGate* gate = &gate_;
     auto server = std::make_unique<NavServer>(
         hierarchy != nullptr ? hierarchy : &fixture_.mesh,
@@ -122,7 +164,7 @@ class NavServerInline : public ::testing::TestWithParam<WireProto> {
         [gate](const CostModel* model) -> std::unique_ptr<ExpandStrategy> {
           return std::make_unique<GatedStrategy>(model, gate);
         },
-        options);
+        options, std::move(spill));
     EXPECT_TRUE(server->Start().ok());
     return server;
   }
@@ -149,8 +191,20 @@ class NavServerInline : public ::testing::TestWithParam<WireProto> {
 };
 
 TEST_P(NavServerInline, ResidentOpsAnswerWhileThePoolIsHeld) {
-  auto server = StartServer(MakeSpillDir(
-      GetParam() == WireProto::kJson ? "held_json" : "held_binary"));
+  // A session a predecessor parked: the server adopts its token from disk,
+  // with no record in memory.
+  const std::string dir = MakeSpillDir(
+      GetParam() == WireProto::kJson ? "held_json" : "held_binary");
+  std::string adopted;
+  {
+    SessionManagerOptions options;
+    options.spill_dir = dir;
+    SessionManager predecessor(&fixture_.mesh, fixture_.eutils.get(),
+                               MakeBioNavStrategyFactory(), options);
+    adopted = predecessor.Create("prothymosin").ValueOrDie();
+    ASSERT_EQ(predecessor.SpillAll(), 1u);
+  }
+  auto server = StartServer(dir);
   auto client = Connect(server->port());
   ASSERT_NE(client, nullptr);
 
@@ -174,7 +228,7 @@ TEST_P(NavServerInline, ResidentOpsAnswerWhileThePoolIsHeld) {
   });
   ASSERT_TRUE(gate_.AwaitHeld());
 
-  // Ops that wait for the pool: a parked session (its restore reads a
+  // Ops that wait for the pool: the adopted session (its restore reads a
   // file), the pinned session, and an EXPAND the memo cannot answer.
   std::atomic<int> waited{0};
   std::vector<std::thread> waiters;
@@ -188,14 +242,15 @@ TEST_P(NavServerInline, ResidentOpsAnswerWhileThePoolIsHeld) {
       ++waited;
     });
   };
-  wait_on_pool(SessionRequest(RequestOp::kShowResults, parked,
+  wait_on_pool(SessionRequest(RequestOp::kShowResults, adopted,
                               NavigationTree::kRoot));
   wait_on_pool(SessionRequest(RequestOp::kShowResults, pinned,
                               NavigationTree::kRoot));
   wait_on_pool(SessionRequest(RequestOp::kExpand, memo_miss,
                               NavigationTree::kRoot));
 
-  // Ops the reactor answers although no worker is free.
+  // Ops the reactor answers although no worker is free, the parked
+  // session's restored from its in-memory record.
   const int64_t inline_before = InlineCount(RequestOp::kExpand) +
                                 InlineCount(RequestOp::kShowResults) +
                                 InlineCount(RequestOp::kFind) +
@@ -214,12 +269,16 @@ TEST_P(NavServerInline, ResidentOpsAnswerWhileThePoolIsHeld) {
   ASSERT_TRUE(undone.ok()) << undone.status().ToString();
   EXPECT_TRUE(undone.ValueOrDie());
   EXPECT_TRUE(client->CloseSession(resident).ok());
+  auto parked_shown = client->ShowResults(parked, NavigationTree::kRoot);
+  ASSERT_TRUE(parked_shown.ok()) << parked_shown.status().ToString();
+  EXPECT_GT(parked_shown.ValueOrDie().total, 0u);
   const int64_t inline_after = InlineCount(RequestOp::kExpand) +
                                InlineCount(RequestOp::kShowResults) +
                                InlineCount(RequestOp::kFind) +
                                InlineCount(RequestOp::kBacktrack) +
                                InlineCount(RequestOp::kClose);
-  EXPECT_EQ(inline_after - inline_before, 5);
+  EXPECT_EQ(inline_after - inline_before, 6);
+  EXPECT_EQ(server->session_manager().stats().restored_inline, 1);
 
   // The waiters are still queued behind the held cut.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -228,7 +287,8 @@ TEST_P(NavServerInline, ResidentOpsAnswerWhileThePoolIsHeld) {
   blocker.join();
   for (std::thread& t : waiters) t.join();
   EXPECT_EQ(waited.load(), 3);
-  EXPECT_EQ(server->session_manager().stats().restored, 1);
+  EXPECT_EQ(server->session_manager().stats().restored, 2);
+  EXPECT_EQ(server->session_manager().stats().restored_inline, 1);
   server->Shutdown();
 }
 
@@ -273,6 +333,142 @@ TEST_P(NavServerInline, ShowResultsOfALargeComponentWaitsForThePool) {
   EXPECT_TRUE(shown.load());
   EXPECT_EQ(InlineCount(RequestOp::kShowResults), before);
   server->Shutdown();
+}
+
+TEST_P(NavServerInline, StoredShowResultsTemplateAnswersInlineAtAnySize) {
+  // A SHOWRESULTS whose reply template is stored skips the ranking, so the
+  // reactor serves it whatever the component's size.
+  RandomInstance instance(/*seed=*/11, /*hierarchy_nodes=*/300,
+                          /*result_size=*/400);
+  const EUtilsClient eutils = instance.corpus->MakeClient();
+  auto server = StartServer("", &instance.hierarchy, &eutils);
+  auto client = Connect(server->port());
+  ASSERT_NE(client, nullptr);
+  const std::string first = Open(*client, "randquery");
+  const std::string second = Open(*client, "randquery");
+  const std::string cold = Open(*client, "randquery");
+  auto rendered = client->ShowResults(first, NavigationTree::kRoot, 0, 20);
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+
+  gate_.Arm();
+  std::thread blocker([&] {
+    auto own = Connect(server->port());
+    ASSERT_NE(own, nullptr);
+    EXPECT_TRUE(own->Expand(cold, NavigationTree::kRoot).ok());
+  });
+  ASSERT_TRUE(gate_.AwaitHeld());
+  const int64_t before = InlineCount(RequestOp::kShowResults);
+  auto served = client->ShowResults(second, NavigationTree::kRoot, 0, 20);
+  gate_.Release();
+  blocker.join();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(InlineCount(RequestOp::kShowResults), before + 1);
+  EXPECT_EQ(served.ValueOrDie().total, rendered.ValueOrDie().total);
+  server->Shutdown();
+}
+
+TEST_P(NavServerInline, InlineOpsAnswerWhileATemplateRenderIsHeld) {
+  // A template renders outside its store's lock: while one render of the
+  // query is held, inline ops that look up that query's templates finish.
+  auto server = StartServer("");
+  auto client = Connect(server->port());
+  ASSERT_NE(client, nullptr);
+  const std::string warm = Open(*client, "prothymosin");
+  ASSERT_TRUE(client->Expand(warm, NavigationTree::kRoot).ok());
+  std::shared_ptr<const QueryArtifacts> bundle =
+      server->session_manager().cache()->Peek(NormalizeQueryKey("prothymosin"));
+  ASSERT_NE(bundle, nullptr);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool rendering = false, release = false;
+  std::thread renderer([&] {
+    bundle->templates.GetOrRender("held", 0, [&] {
+      std::unique_lock<std::mutex> lock(mu);
+      rendering = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      return std::string("held");
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return rendering; });
+  }
+  const int64_t queries = InlineCount(RequestOp::kQuery);
+  const int64_t expands = InlineCount(RequestOp::kExpand);
+  const std::string token = Open(*client, "prothymosin");
+  auto revealed = client->Expand(token, NavigationTree::kRoot);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  renderer.join();
+  EXPECT_FALSE(token.empty());
+  ASSERT_TRUE(revealed.ok()) << revealed.status().ToString();
+  EXPECT_EQ(InlineCount(RequestOp::kQuery), queries + 1);
+  EXPECT_EQ(InlineCount(RequestOp::kExpand), expands + 1);
+  server->Shutdown();
+}
+
+TEST_P(NavServerInline, ReactorIssuesNoSpillStoreIo) {
+  // Parked-token traffic with a small table: inline QUERYs evict, inline
+  // ops restore from memory, CLOSEs unlink, and an adopted token restores
+  // from its file. Every spill-store call runs off the reactor.
+  const std::string dir = MakeSpillDir(
+      GetParam() == WireProto::kJson ? "io_json" : "io_binary");
+  std::string adopted;
+  {
+    SessionManagerOptions options;
+    options.spill_dir = dir;
+    SessionManager predecessor(&fixture_.mesh, fixture_.eutils.get(),
+                               MakeBioNavStrategyFactory(), options);
+    adopted = predecessor.Create("prothymosin").ValueOrDie();
+    ASSERT_EQ(predecessor.SpillAll(), 1u);
+  }
+  NavServerOptions options;
+  options.threads = 2;
+  options.session.max_sessions = 3;
+  options.session.spill_dir = dir;
+  auto owned = std::make_unique<RecordingSpillStore>(dir);
+  RecordingSpillStore* store = owned.get();
+  auto server = StartServerWith(options, std::move(owned));
+  auto client = Connect(server->port());
+  ASSERT_NE(client, nullptr);
+  const int64_t queries = InlineCount(RequestOp::kQuery);
+
+  ASSERT_TRUE(client->ShowResults(adopted, NavigationTree::kRoot).ok());
+  // Parked alone, its record is surely in memory: the reactor restores it.
+  // (In the loop below, which parked records stay in memory past the cap
+  // depends on when the pool writes the evictions.)
+  ASSERT_EQ(server->session_manager().SpillAll(), 1u);
+  ASSERT_TRUE(client->ShowResults(adopted, NavigationTree::kRoot).ok());
+  EXPECT_EQ(server->session_manager().stats().restored_inline, 1);
+  std::vector<std::string> tokens;
+  for (int i = 0; i < 12; ++i) {
+    // Past the third resident session, the open evicts one.
+    tokens.push_back(Open(*client, "prothymosin"));
+    const std::string& token = tokens[static_cast<size_t>(i) / 2];
+    auto revealed = client->Expand(token, NavigationTree::kRoot);
+    ASSERT_TRUE(revealed.ok()) << revealed.status().ToString();
+    EXPECT_TRUE(client->ShowResults(token, NavigationTree::kRoot).ok());
+    EXPECT_TRUE(client->Find(token, fixture_.apoptosis).ok());
+    EXPECT_TRUE(client->Backtrack(token).ok());
+    if (i % 4 == 3) {
+      // Park everything; the CLOSE of a parked token unlinks its file.
+      server->session_manager().SpillAll();
+      EXPECT_TRUE(client->CloseSession(token).ok());
+    }
+  }
+  server->Shutdown();
+  const SessionManagerStats stats = server->session_manager().stats();
+  EXPECT_GT(stats.restored_inline, 0);
+  EXPECT_GT(stats.restored, stats.restored_inline);
+  EXPECT_GT(stats.spilled, 0);
+  EXPECT_GT(InlineCount(RequestOp::kQuery), queries);
+  EXPECT_GT(store->calls(), 0);
+  EXPECT_EQ(store->on_reactor(), 0);
 }
 
 /// A raw connection in the parameter's encoding, for pipelining requests
@@ -387,6 +583,63 @@ TEST_P(NavServerInline, InlineRepliesMatchPoolRepliesByteForByte) {
     ASSERT_TRUE(conn.Send({on_reactor}));
     const std::string inline_reply = conn.Receive();
     EXPECT_EQ(InlineCount(step.op), before + 1);
+    EXPECT_FALSE(pool_reply.empty());
+    EXPECT_EQ(inline_reply, pool_reply);
+  }
+  server->Shutdown();
+}
+
+TEST_P(NavServerInline, InlineRestoreRepliesMatchPoolRestoreReplies) {
+  // Twin sessions are parked before every step; the pool restores one
+  // (its op meets a backlog), the reactor the other from its in-memory
+  // record, and the replies are byte-identical.
+  auto server = StartServer(MakeSpillDir(
+      GetParam() == WireProto::kJson ? "restore_json" : "restore_binary"));
+  WireConn conn(server->port(), GetParam());
+  ASSERT_TRUE(conn.connected());
+  Request query;
+  query.op = RequestOp::kQuery;
+  query.query = "prothymosin";
+  auto open = [&] {
+    EXPECT_TRUE(conn.Send({query}));
+    auto doc = DecodeResponse(GetParam(), conn.Receive());
+    EXPECT_TRUE(doc.ok());
+    auto reply = ReadResponse(RequestOp::kQuery, doc.ValueOrDie());
+    EXPECT_TRUE(reply.ok());
+    return reply.ok() ? reply.ValueOrDie().token : std::string();
+  };
+  const std::string pooled = open();
+  const std::string inlined = open();
+  Request stats;
+  stats.op = RequestOp::kStats;
+  Request find = SessionRequest(RequestOp::kFind, "");
+  find.concept_id = fixture_.apoptosis;
+  const std::vector<Request> script = {
+      SessionRequest(RequestOp::kExpand, "", NavigationTree::kRoot),
+      SessionRequest(RequestOp::kShowResults, "", NavigationTree::kRoot),
+      find,
+      SessionRequest(RequestOp::kBacktrack, ""),
+      SessionRequest(RequestOp::kExpand, "", NavigationTree::kRoot),
+  };
+  SessionManager& sessions = server->session_manager();
+  for (const Request& step : script) {
+    SCOPED_TRACE(RequestOpName(step.op));
+    ASSERT_EQ(sessions.SpillAll(), 2u);
+    const int64_t inline_restores = sessions.stats().restored_inline;
+    Request on_pool = step;
+    on_pool.token = pooled;
+    ASSERT_TRUE(conn.Send({stats, on_pool}));
+    conn.Receive();  // STATS.
+    const std::string pool_reply = conn.Receive();
+    EXPECT_EQ(sessions.stats().restored_inline, inline_restores);
+
+    Request on_reactor = step;
+    on_reactor.token = inlined;
+    const int64_t before = InlineCount(step.op);
+    ASSERT_TRUE(conn.Send({on_reactor}));
+    const std::string inline_reply = conn.Receive();
+    EXPECT_EQ(InlineCount(step.op), before + 1);
+    EXPECT_EQ(sessions.stats().restored_inline, inline_restores + 1);
     EXPECT_FALSE(pool_reply.empty());
     EXPECT_EQ(inline_reply, pool_reply);
   }

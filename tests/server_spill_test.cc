@@ -3,7 +3,9 @@
 // instead of destroying, in-flight operations pin their session against
 // the sweep (the touch-during-spill race), corrupt snapshots surface as
 // NotFound, a SpillAll/adopt pair hands live dialogues across manager
-// generations (the warm-restart path), the resident-heap gauge collapses
+// generations (the warm-restart path), a reactor-side restore replays the
+// in-memory record and leaves its stale file to a deferred unlink that a
+// CLOSE, a re-spill or a SpillAll may race, the resident-heap gauge collapses
 // when idle sessions leave the heap, and a loopback NavServer restores a
 // parked wire session byte-identically.
 
@@ -45,42 +47,57 @@ size_t CountSnapshotFiles(const std::string& dir) {
   return count;
 }
 
-/// A SpillStore whose writes can be held at a gate: while held, each Put
-/// waits (before touching the disk) until the test opens the gate.
+/// A SpillStore whose writes (or, with HoldDeletes, unlinks) can be held
+/// at a gate: while held, each such call waits (before touching the disk)
+/// until the test opens the gate.
 class GatedSpillStore : public SpillStore {
  public:
   using SpillStore::SpillStore;
 
   Status Put(const std::string& token, std::string_view record) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++writes_;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return !held_; });
-    }
+    Pass(/*is_delete=*/false);
     return SpillStore::Put(token, record);
+  }
+  bool Delete(const std::string& token) override {
+    Pass(/*is_delete=*/true);
+    return SpillStore::Delete(token);
   }
 
   void Hold() {
     std::lock_guard<std::mutex> lock(mu_);
     held_ = true;
+    holds_deletes_ = false;
+  }
+  void HoldDeletes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+    holds_deletes_ = true;
   }
   void Open() {
     std::lock_guard<std::mutex> lock(mu_);
     held_ = false;
     cv_.notify_all();
   }
-  /// Waits until a write has reached the gate.
-  void AwaitWrite() {
+  /// Waits until a held call has reached the gate.
+  void AwaitHeld() {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return writes_ > 0; });
+    cv_.wait(lock, [&] { return arrivals_ > 0; });
   }
 
  private:
+  void Pass(bool is_delete) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!held_ || is_delete != holds_deletes_) return;
+    ++arrivals_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !held_; });
+  }
+
   std::mutex mu_;
   std::condition_variable cv_;
   bool held_ = false;
-  int writes_ = 0;
+  bool holds_deletes_ = false;
+  int arrivals_ = 0;
 };
 
 /// Runs `ops` on a thread while a spill write is held, then opens the
@@ -391,7 +408,7 @@ TEST_F(ServerSpillTest, OtherTokensAreServedWhileASpillWriteIsHeld) {
   store->Hold();
   size_t spilled = 0;
   std::thread sweeper([&] { spilled = manager->SpillIdle(); });
-  store->AwaitWrite();
+  store->AwaitHeld();
   EXPECT_TRUE(FinishesWhileWriteIsHeld(store, [&] {
     ExpandRoot(*manager, busy);
     auto created = manager->CreateSession("apoptosis");
@@ -424,7 +441,7 @@ TEST_F(ServerSpillTest, TouchDuringASpillWriteWinsAndKeepsItsState) {
   store->Hold();
   size_t spilled = 0;
   std::thread sweeper([&] { spilled = manager->SpillIdle(); });
-  store->AwaitWrite();
+  store->AwaitHeld();
   // The token being spilled is still live: the touch finds it resident
   // (never NotFound) and its BACKTRACK wins over the snapshot in flight.
   EXPECT_TRUE(FinishesWhileWriteIsHeld(store, [&] {
@@ -464,7 +481,7 @@ TEST_F(ServerSpillTest, CloseDuringASpillWriteLeavesNoFile) {
   store->Hold();
   size_t spilled = 0;
   std::thread sweeper([&] { spilled = manager->SpillIdle(); });
-  store->AwaitWrite();
+  store->AwaitHeld();
   EXPECT_TRUE(FinishesWhileWriteIsHeld(
       store, [&] { EXPECT_TRUE(manager->Close(token)); }));
   sweeper.join();
@@ -494,7 +511,7 @@ TEST_F(ServerSpillTest, CapacityEvictionWritesOutsideTheLock) {
   std::thread creator([&] {
     EXPECT_TRUE(manager->Create("prothymosin").ok());
   });
-  store->AwaitWrite();
+  store->AwaitHeld();
   EXPECT_TRUE(FinishesWhileWriteIsHeld(store, [&] {
     ExpandRoot(*manager, other);
     EXPECT_EQ(manager->stats().spilled, 0);
@@ -529,7 +546,7 @@ TEST_F(ServerSpillTest, TouchOfAnEvictionVictimEvictsTheNextSession) {
   std::thread creator([&] {
     EXPECT_TRUE(manager->Create("prothymosin").ok());
   });
-  store->AwaitWrite();
+  store->AwaitHeld();
   EXPECT_TRUE(
       FinishesWhileWriteIsHeld(store, [&] { ExpandRoot(*manager, victim); }));
   creator.join();
@@ -555,6 +572,231 @@ TEST_F(ServerSpillTest, TouchOfAnEvictionVictimEvictsTheNextSession) {
   EXPECT_EQ(manager->stats().restored, 1);
 }
 
+TEST_F(ServerSpillTest, InlineRestoreRunsFromMemoryAndDefersItsUnlink) {
+  // The reactor's restore reads no file and unlinks none: it replays the
+  // record kept in memory and leaves the stale file to its DiskWork.
+  std::string dir = MakeSpillDir("inline_restore");
+  GatedSpillStore* store = nullptr;
+  auto manager = MakeGatedManager(SpillOptions(dir, 50), dir, &store);
+  std::string token = manager->Create("prothymosin").ValueOrDie();
+  ExpandRoot(*manager, token);
+  now_ms_ += 100;
+  ASSERT_EQ(manager->SpillIdle(), 1u);
+  EXPECT_GT(manager->stats().parked_record_bytes, 0u);
+
+  SessionManager::DiskWork work;
+  size_t log_size = 0;
+  EXPECT_TRUE(manager->TryWithSession(
+      token,
+      [&](NavigationSession& session) {
+        log_size = session.expand_log().size();
+        return true;
+      },
+      &work));
+  EXPECT_EQ(log_size, 1u);
+  SessionManagerStats stats = manager->stats();
+  EXPECT_EQ(stats.restored, 1);
+  EXPECT_EQ(stats.restored_inline, 1);
+  EXPECT_EQ(stats.spilled_now, 0u);
+  EXPECT_EQ(stats.parked_record_bytes, 0u);
+  EXPECT_EQ(stats.active, 1u);
+  ASSERT_FALSE(work.empty());
+  EXPECT_EQ(CountSnapshotFiles(dir), 1u) << "unlinked before its DiskWork";
+  manager->FinishDiskWork(std::move(work));
+  EXPECT_EQ(CountSnapshotFiles(dir), 0u);
+}
+
+TEST_F(ServerSpillTest, AdoptedTokenRestoresOnlyThroughThePool) {
+  // A token adopted from a predecessor has no record in memory: the
+  // reactor declines it, and the pool's restore reads its file.
+  std::string dir = MakeSpillDir("adopted");
+  std::string token;
+  {
+    SessionManager old_gen = MakeManager(SpillOptions(dir, 0));
+    token = old_gen.Create("prothymosin").ValueOrDie();
+    ExpandRoot(old_gen, token);
+    ASSERT_EQ(old_gen.SpillAll(), 1u);
+  }
+  SessionManager manager = MakeManager(SpillOptions(dir, 0));
+  SessionManager::DiskWork work;
+  EXPECT_FALSE(manager.TryWithSession(
+      token, [](NavigationSession&) { return true; }, &work));
+  EXPECT_TRUE(work.empty());
+  EXPECT_EQ(manager.stats().restored, 0);
+  EXPECT_EQ(manager.stats().spilled_now, 1u);
+
+  size_t log_size = 0;
+  Status s = manager.WithSession(token, [&](NavigationSession& session) {
+    log_size = session.expand_log().size();
+    return Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(log_size, 1u);
+  EXPECT_EQ(manager.stats().restored, 1);
+  EXPECT_EQ(manager.stats().restored_inline, 0);
+  EXPECT_EQ(CountSnapshotFiles(dir), 0u);
+}
+
+TEST_F(ServerSpillTest, LargeTreeRestoresOnlyThroughThePool) {
+  // Building the ActiveTree and replaying grow with the tree, so the
+  // reactor leaves a tree past kInlineRestoreMaxNodes to the pool.
+  ::bionav::testing::RandomInstance instance(
+      /*seed=*/11, /*hierarchy_nodes=*/8000, /*result_size=*/4000);
+  ASSERT_GT(instance.nav->size(), SessionManager::kInlineRestoreMaxNodes);
+  const EUtilsClient eutils = instance.corpus->MakeClient();
+  std::string dir = MakeSpillDir("large_tree");
+  SessionManagerOptions options = SpillOptions(dir, 50);
+  options.clock = [this] { return now_ms_.load(); };
+  SessionManager manager(&instance.hierarchy, &eutils,
+                         MakeBioNavStrategyFactory(), options);
+  std::string token = manager.Create("randquery").ValueOrDie();
+  now_ms_ += 100;
+  ASSERT_EQ(manager.SpillIdle(), 1u);
+
+  SessionManager::DiskWork work;
+  EXPECT_FALSE(manager.TryWithSession(
+      token, [](NavigationSession&) { return true; }, &work));
+  EXPECT_TRUE(work.empty());
+  EXPECT_EQ(manager.stats().spilled_now, 1u);
+  Status s = manager.WithSession(
+      token, [](NavigationSession&) { return Status::OK(); });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(manager.stats().restored, 1);
+  EXPECT_EQ(manager.stats().restored_inline, 0);
+}
+
+TEST_F(ServerSpillTest, CloseRacingTheDeferredUnlinkLeavesNoFile) {
+  std::string dir = MakeSpillDir("close_unlink");
+  GatedSpillStore* store = nullptr;
+  auto manager = MakeGatedManager(SpillOptions(dir, 50), dir, &store);
+  std::string before = manager->Create("prothymosin").ValueOrDie();
+  std::string during = manager->Create("prothymosin").ValueOrDie();
+  now_ms_ += 100;
+  ASSERT_EQ(manager->SpillIdle(), 2u);
+  auto restore = [&](const std::string& token, SessionManager::DiskWork* work) {
+    return manager->TryWithSession(
+        token, [](NavigationSession&) { return true; }, work);
+  };
+
+  // Closed before its unlink runs: the unlink still removes the file.
+  SessionManager::DiskWork first;
+  ASSERT_TRUE(restore(before, &first));
+  EXPECT_TRUE(manager->Close(before));
+  manager->FinishDiskWork(std::move(first));
+  EXPECT_EQ(CountSnapshotFiles(dir), 1u);
+
+  // Closed while its unlink is held: the close does not wait for it.
+  SessionManager::DiskWork second;
+  ASSERT_TRUE(restore(during, &second));
+  store->HoldDeletes();
+  std::thread unlinker([&] { manager->FinishDiskWork(std::move(second)); });
+  store->AwaitHeld();
+  EXPECT_TRUE(FinishesWhileWriteIsHeld(
+      store, [&] { EXPECT_TRUE(manager->Close(during)); }));
+  unlinker.join();
+  EXPECT_EQ(CountSnapshotFiles(dir), 0u);
+  SessionManagerStats stats = manager->stats();
+  EXPECT_EQ(stats.closed, 2);
+  EXPECT_EQ(stats.active, 0u);
+  EXPECT_EQ(stats.spilled_now, 0u);
+}
+
+TEST_F(ServerSpillTest, RespillRacingTheDeferredUnlinkLeavesOneFile) {
+  std::string dir = MakeSpillDir("respill_unlink");
+  GatedSpillStore* store = nullptr;
+  auto manager = MakeGatedManager(SpillOptions(dir, 50), dir, &store);
+  std::string token = manager->Create("prothymosin").ValueOrDie();
+  ExpandRoot(*manager, token);
+  now_ms_ += 100;
+  ASSERT_EQ(manager->SpillIdle(), 1u);
+  auto restore = [&](SessionManager::DiskWork* work) {
+    return manager->TryWithSession(
+        token, [](NavigationSession&) { return true; }, work);
+  };
+
+  // Re-parked before its unlink runs: the spill writes over the stale
+  // record and takes the file over, so the unlink leaves it alone.
+  SessionManager::DiskWork first;
+  ASSERT_TRUE(restore(&first));
+  now_ms_ += 100;
+  EXPECT_EQ(manager->SpillIdle(), 1u);
+  manager->FinishDiskWork(std::move(first));
+  EXPECT_EQ(CountSnapshotFiles(dir), 1u);
+  EXPECT_EQ(manager->stats().spilled_now, 1u);
+
+  // Swept while its unlink is held: the sweep skips it without waiting,
+  // and the next sweep parks it.
+  SessionManager::DiskWork second;
+  ASSERT_TRUE(restore(&second));
+  now_ms_ += 100;
+  store->HoldDeletes();
+  std::thread unlinker([&] { manager->FinishDiskWork(std::move(second)); });
+  store->AwaitHeld();
+  EXPECT_TRUE(FinishesWhileWriteIsHeld(
+      store, [&] { EXPECT_EQ(manager->SpillIdle(), 0u); }));
+  unlinker.join();
+  EXPECT_EQ(CountSnapshotFiles(dir), 0u);
+  EXPECT_EQ(manager->SpillIdle(), 1u);
+  EXPECT_EQ(CountSnapshotFiles(dir), 1u);
+
+  // The parked state is the session's own, never a stale one.
+  size_t log_size = 0;
+  Status s = manager->WithSession(token, [&](NavigationSession& session) {
+    log_size = session.expand_log().size();
+    return Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(log_size, 1u);
+}
+
+TEST_F(ServerSpillTest, SpillAllWithUnlinksPendingHandsEverySessionOver) {
+  std::string dir = MakeSpillDir("handoff_unlink");
+  std::string queued, unlinking;
+  {
+    GatedSpillStore* store = nullptr;
+    auto old_gen = MakeGatedManager(SpillOptions(dir, 50), dir, &store);
+    queued = old_gen->Create("prothymosin").ValueOrDie();
+    ExpandRoot(*old_gen, queued);
+    unlinking = old_gen->Create("apoptosis").ValueOrDie();
+    ExpandRoot(*old_gen, unlinking);
+    now_ms_ += 100;
+    ASSERT_EQ(old_gen->SpillIdle(), 2u);
+    SessionManager::DiskWork queued_work, unlinking_work;
+    for (auto [token, work] : {std::pair{&queued, &queued_work},
+                               std::pair{&unlinking, &unlinking_work}}) {
+      ASSERT_TRUE(old_gen->TryWithSession(
+          *token, [](NavigationSession&) { return true; }, work));
+    }
+    // One session's unlink is held mid-way, the other's not yet run: the
+    // drain's SpillAll waits out the first and writes over the second.
+    store->HoldDeletes();
+    std::thread unlinker(
+        [&] { old_gen->FinishDiskWork(std::move(unlinking_work)); });
+    store->AwaitHeld();
+    size_t spilled = 0;
+    std::thread drain([&] { spilled = old_gen->SpillAll(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    store->Open();
+    unlinker.join();
+    drain.join();
+    EXPECT_EQ(spilled, 2u);
+    old_gen->FinishDiskWork(std::move(queued_work));
+    EXPECT_EQ(CountSnapshotFiles(dir), 2u);
+  }
+
+  SessionManager new_gen = MakeManager(SpillOptions(dir, 0));
+  EXPECT_EQ(new_gen.stats().spilled_now, 2u);
+  for (const std::string& token : {queued, unlinking}) {
+    size_t log_size = 0;
+    Status s = new_gen.WithSession(token, [&](NavigationSession& session) {
+      log_size = session.expand_log().size();
+      return Status::OK();
+    });
+    ASSERT_TRUE(s.ok()) << token << ": " << s.ToString();
+    EXPECT_EQ(log_size, 1u) << token;
+  }
+}
+
 TEST_F(ServerSpillTest, CloseDeletesParkedSnapshot) {
   std::string dir = MakeSpillDir("close");
   SessionManager manager = MakeManager(SpillOptions(dir, 50));
@@ -576,15 +818,20 @@ TEST_F(ServerSpillTest, CloseDeletesParkedSnapshot) {
 
 TEST_F(ServerSpillTest, CorruptSnapshotSurfacesAsNotFound) {
   std::string dir = MakeSpillDir("corrupt");
-  SessionManager manager = MakeManager(SpillOptions(dir, 50));
-
-  auto token = manager.Create("prothymosin");
-  ASSERT_TRUE(token.ok());
-  now_ms_ += 100;
-  ASSERT_EQ(manager.SpillIdle(), 1u);
+  Result<std::string> token = Status::NotFound("not created");
+  {
+    SessionManager old_gen = MakeManager(SpillOptions(dir, 50));
+    token = old_gen.Create("prothymosin");
+    ASSERT_TRUE(token.ok());
+    now_ms_ += 100;
+    ASSERT_EQ(old_gen.SpillIdle(), 1u);
+  }
 
   // Truncate the parked record to half: checksum framing must reject it
-  // and the manager must answer the touch with NotFound, not a crash.
+  // and the manager must answer the touch with NotFound, not a crash. A
+  // record is read from disk only when its token was adopted from a
+  // predecessor (the manager that parked it keeps it in memory), so the
+  // touch goes to the next generation.
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".snap") continue;
     std::ifstream in(entry.path(), std::ios::binary);
@@ -594,6 +841,7 @@ TEST_F(ServerSpillTest, CorruptSnapshotSurfacesAsNotFound) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
 
+  SessionManager manager = MakeManager(SpillOptions(dir, 50));
   Status s = manager.WithSession(token.ValueOrDie(),
                                  [](NavigationSession&) { return Status::OK(); });
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
