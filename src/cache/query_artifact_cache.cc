@@ -122,7 +122,7 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
       // hits so the byte budget stays honest (and over-budget shards
       // evict — our own copy above keeps this bundle alive even if it is
       // the victim).
-      size_t footprint = result.artifacts->MemoryFootprint();
+      size_t footprint = e.fixed_bytes + result.artifacts->GrowingBytes();
       if (footprint != e.bytes) {
         int64_t delta =
             static_cast<int64_t>(footprint) - static_cast<int64_t>(e.bytes);
@@ -144,6 +144,7 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
       CacheSavedHist()->Record(build_us);
       return result;
     }
+    if (!builder) return {};
     wait_on = shard.building.Join(key);
   }
 
@@ -183,7 +184,8 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
     int64_t now = NowMs();
     auto entry = std::make_shared<Entry>();
     entry->artifacts = artifacts;
-    entry->bytes = artifacts->MemoryFootprint();
+    entry->fixed_bytes = artifacts->FixedBytes();
+    entry->bytes = entry->fixed_bytes + artifacts->GrowingBytes();
     entry->build_us = artifacts->build_us;
     entry->inserted_ms = now;  // TTL counts from build completion.
     entry->last_used_ms = now;
@@ -202,18 +204,6 @@ QueryArtifactCache::Lookup QueryArtifactCache::GetOrBuild(
   }
   landed.set_value(artifacts);
   return {std::move(artifacts), /*hit=*/false, /*waited=*/false};
-}
-
-bool QueryArtifactCache::Contains(const std::string& key) const {
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  if (options_.ttl_ms > 0 &&
-      NowMs() - it->second->inserted_ms > options_.ttl_ms) {
-    return false;
-  }
-  return true;
 }
 
 std::shared_ptr<const QueryArtifacts> QueryArtifactCache::Peek(

@@ -93,12 +93,10 @@ class QueryArtifactCache {
 
   /// Returns the artifacts for `key`, running `builder` if (and only if)
   /// no fresh entry exists and no other caller is already building it.
-  /// The builder runs outside all cache locks.
+  /// The builder runs outside all cache locks. A null `builder` makes it
+  /// a resident-only lookup: a hit as above, else null artifacts, never
+  /// waiting on a build and counting no miss.
   Lookup GetOrBuild(const std::string& key, const Builder& builder);
-
-  /// True if a ready, unexpired entry for `key` is resident (no LRU
-  /// refresh; test/introspection helper).
-  bool Contains(const std::string& key) const;
 
   /// The resident bundle for `key`, or null if absent, still building, or
   /// expired. No LRU refresh and no hit accounting — an introspection
@@ -118,6 +116,9 @@ class QueryArtifactCache {
   struct Entry {
     std::shared_ptr<const QueryArtifacts> artifacts;
     size_t bytes = 0;
+    /// The bundle's FixedBytes, so a hit re-reads its footprint in O(1)
+    /// rather than walking the tree again.
+    size_t fixed_bytes = 0;
     int64_t build_us = 0;
     int64_t inserted_ms = 0;
     /// Guarded by the owning shard's mutex.

@@ -68,13 +68,11 @@ ResponseTemplateStore::Stats ResponseTemplateStore::stats() const {
   return stats;
 }
 
-size_t QueryArtifacts::MemoryFootprint() const {
+size_t QueryArtifacts::FixedBytes() const {
   size_t bytes = sizeof(QueryArtifacts) + key.capacity();
   if (result != nullptr) bytes += result->MemoryFootprint();
   if (nav != nullptr) bytes += nav->MemoryFootprint();
   if (cost_model != nullptr) bytes += cost_model->MemoryFootprint();
-  bytes += templates.bytes();
-  bytes += cut_memo.bytes();
   return bytes;
 }
 

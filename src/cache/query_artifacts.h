@@ -100,9 +100,13 @@ struct QueryArtifacts {
   /// Heap bytes held by the bundle (result set, tree incl. its subtree
   /// citation sets, cost model, rendered response templates, cut memo) —
   /// the unit of the cache's byte budget. Grows as templates render and
-  /// cuts are memoized; the cache re-reads it on hits to keep its budget
-  /// honest.
-  size_t MemoryFootprint() const;
+  /// cuts are memoized; the cache re-reads that growth on hits to keep its
+  /// budget honest.
+  size_t MemoryFootprint() const { return FixedBytes() + GrowingBytes(); }
+  /// The parts of MemoryFootprint fixed at the build (a walk of the tree)
+  /// and those that grow after it (templates and cut memo, read in O(1)).
+  size_t FixedBytes() const;
+  size_t GrowingBytes() const { return templates.bytes() + cut_memo.bytes(); }
 
   /// Serializes the bundle into a framed, checksummed record — the payload
   /// of the FETCH_ARTIFACT wire op. Same record discipline as the session

@@ -209,24 +209,16 @@ void NavServer::Dispatch(const ConnPtr& conn, uint64_t seq,
 
 bool NavServer::FastPathEligible(const RequestView& request) const {
   switch (request.op) {
-    case RequestOp::kQuery: {
-      // Contains() is false for entries still building (singleflight), so
-      // an inline Open never waits behind a cold tree build. The probe can
-      // go stale before the Open (an eviction), costing one inline build —
-      // the window is microseconds. An eviction the Open causes is written
-      // on the pool.
-      const QueryArtifactCache* cache = sessions_.cache();
-      return cache != nullptr &&
-             cache->Contains(NormalizeQueryKey(request.query));
-    }
+    case RequestOp::kQuery:
     case RequestOp::kExpand:
     case RequestOp::kShowResults:
     case RequestOp::kBacktrack:
     case RequestOp::kFind:
     case RequestOp::kClose:
-      // Decided at the session: these run only on a session no other op
-      // holds that is resident or restorable from memory, and EXPAND only
-      // with its cut already memoized.
+      // Decided downstream: a QUERY runs only over artifacts the cache
+      // holds ready (never behind a build), the session ops only on a
+      // session no other op holds that is resident or restorable from
+      // memory, and EXPAND only with its cut already memoized.
       return true;
     default: return false;
   }
@@ -314,8 +306,9 @@ WireFrame SessionErrorFrame(WireProto proto, const Status& status) {
 
 }  // namespace
 
-WireFrame NavServer::HandleQuery(const RequestView& request, WireProto proto,
-                                 SessionManager::DiskWork* on_reactor) {
+std::optional<WireFrame> NavServer::HandleQuery(
+    const RequestView& request, WireProto proto,
+    SessionManager::DiskWork* on_reactor) {
   if (frontend_.shutting_down()) {
     return WireResponse::Error(proto, WireError::kShuttingDown,
                                "server is draining");
@@ -323,6 +316,11 @@ WireFrame NavServer::HandleQuery(const RequestView& request, WireProto proto,
   Result<SessionManager::CreateInfo> info =
       sessions_.CreateSession(std::string(request.query), on_reactor);
   if (!info.ok()) {
+    // On the reactor, a query whose artifacts are not resident declines.
+    if (on_reactor != nullptr &&
+        info.status().code() == StatusCode::kFailedPrecondition) {
+      return std::nullopt;
+    }
     return WireResponse::Error(proto, WireErrorFromStatus(info.status()),
                                info.status().message());
   }
@@ -573,19 +571,10 @@ WireFrame NavServer::HandleView(const RequestView& request, WireProto proto) {
       .Finish();
 }
 
-std::optional<WireFrame> NavServer::HandleClose(
-    const RequestView& request, WireProto proto,
-    SessionManager::DiskWork* on_reactor) {
-  // The reactor closes only a resident, idle session; a parked one has a
-  // file to unlink, which is the pool's work.
-  bool closed = false;
-  if (on_reactor != nullptr) {
-    if (!sessions_.TryClose(request.token)) return std::nullopt;
-    closed = true;
-  } else {
-    closed = sessions_.Close(request.token);
-  }
-  if (!closed) {
+WireFrame NavServer::HandleClose(const RequestView& request, WireProto proto,
+                                 SessionManager::DiskWork* on_reactor) {
+  // Never waits; on the reactor a parked token's unlink goes to the pool.
+  if (!sessions_.Close(request.token, on_reactor)) {
     return WireResponse::Error(
         proto, WireError::kUnknownSession,
         "unknown session '" + std::string(request.token) + "'");

@@ -61,10 +61,10 @@ struct NavServerStats {
 /// responses marshal back to the connection's loop. Requests that cannot
 /// stall the loop execute inline on the reactor when the connection has no
 /// backlog, skipping the pool round-trip's two scheduler handoffs on the
-/// warm interactive path: parse errors, cache-hit QUERYs, BACKTRACK, FIND
-/// and CLOSE on a session no other op holds that is resident (or, except
-/// for CLOSE, parked with its record in memory and its artifacts cached,
-/// and then restored first), a SHOWRESULTS of such a session whose reply
+/// warm interactive path: parse errors, cache-hit QUERYs, CLOSE, BACKTRACK
+/// and FIND on a session no other op holds that is resident (or parked
+/// with its record in memory and its artifacts cached, and then restored
+/// first), a SHOWRESULTS of such a session whose reply
 /// template is stored or whose component holds at most
 /// kInlineShowMaxResults citations, and an EXPAND of such a session whose
 /// cut the query's memo already holds. The reactor does no disk I/O and
@@ -132,8 +132,8 @@ class NavServer {
   void Dispatch(const ConnPtr& conn, uint64_t seq, std::string& payload,
                 bool no_backlog);
   /// True when a parsed request may try to execute inline on the reactor:
-  /// a QUERY whose artifacts the cache already holds built, or a session
-  /// op that HandleRequest(..., on_reactor) then serves or declines. (Parse
+  /// a QUERY or a session op, which HandleRequest(..., on_reactor) then
+  /// serves or declines. (Parse
   /// failures are always inline-safe — their reply is a constant error
   /// frame — and are handled before this check.)
   bool FastPathEligible(const RequestView& request) const;
@@ -162,8 +162,9 @@ class NavServer {
       std::string_view token, SessionManager::DiskWork* on_reactor,
       const std::function<std::optional<Status>(NavigationSession&)>& body);
 
-  WireFrame HandleQuery(const RequestView& request, WireProto proto,
-                        SessionManager::DiskWork* on_reactor);
+  std::optional<WireFrame> HandleQuery(const RequestView& request,
+                                       WireProto proto,
+                                       SessionManager::DiskWork* on_reactor);
   std::optional<WireFrame> HandleExpand(const RequestView& request,
                                         WireProto proto,
                                         SessionManager::DiskWork* on_reactor);
@@ -178,9 +179,8 @@ class NavServer {
                                       WireProto proto,
                                       SessionManager::DiskWork* on_reactor);
   WireFrame HandleView(const RequestView& request, WireProto proto);
-  std::optional<WireFrame> HandleClose(const RequestView& request,
-                                       WireProto proto,
-                                       SessionManager::DiskWork* on_reactor);
+  WireFrame HandleClose(const RequestView& request, WireProto proto,
+                        SessionManager::DiskWork* on_reactor);
   WireFrame HandleStats(const RequestView& request, WireProto proto);
   WireFrame HandleMetrics(const RequestView& request, WireProto proto);
   /// Owner-side artifact export: serializes the key's bundle (building it

@@ -202,36 +202,18 @@ std::shared_ptr<const QueryArtifacts> SessionManager::ResolveArtifacts(
 }
 
 std::shared_ptr<const QueryArtifacts> SessionManager::ArtifactsFor(
-    const std::string& query, bool* cache_hit) {
-  if (cache_ == nullptr) return ResolveArtifacts(query, /*allow_peer=*/false);
+    const std::string& query, bool may_build, bool* cache_hit) {
+  if (cache_ == nullptr) {
+    return may_build ? ResolveArtifacts(query, /*allow_peer=*/false) : nullptr;
+  }
+  QueryArtifactCache::Builder builder;  // Empty: a resident-only lookup.
+  if (may_build) {
+    builder = [&] { return ResolveArtifacts(query, /*allow_peer=*/true); };
+  }
   QueryArtifactCache::Lookup lookup =
-      cache_->GetOrBuild(NormalizeQueryKey(query), [&] {
-        return ResolveArtifacts(query, /*allow_peer=*/true);
-      });
+      cache_->GetOrBuild(NormalizeQueryKey(query), builder);
   if (cache_hit != nullptr) *cache_hit = lookup.hit;
   return std::move(lookup.artifacts);
-}
-
-Result<std::unique_ptr<NavigationSession>> SessionManager::RebuildSession(
-    std::string_view record, bool resident_only) {
-  Result<SessionSnapshot> decoded = DecodeSnapshot(record);
-  if (!decoded.ok()) return decoded.status();
-  const SessionSnapshot& snap = decoded.ValueOrDie();
-  std::shared_ptr<const QueryArtifacts> artifacts;
-  if (!resident_only) {
-    artifacts = ArtifactsFor(snap.query, nullptr);
-  } else if (cache_ != nullptr) {
-    artifacts = cache_->Peek(NormalizeQueryKey(snap.query));
-    if (artifacts != nullptr &&
-        artifacts->nav->size() > kInlineRestoreMaxNodes) {
-      return Status::FailedPrecondition("tree too large to restore inline");
-    }
-  }
-  if (artifacts == nullptr) {
-    return Status::FailedPrecondition("artifacts not resident");
-  }
-  return RestoreSession(snap, eutils_, std::move(artifacts),
-                        strategy_factory_);
 }
 
 Result<std::string> SessionManager::Create(const std::string& query,
@@ -252,7 +234,11 @@ Result<SessionManager::CreateInfo> SessionManager::CreateSession(
   // against other sessions. With the cache on, the build also singleflights
   // — concurrent QUERYs of one normalized key share a single build.
   CreateInfo info;
-  info.artifacts = ArtifactsFor(query, &info.cache_hit);
+  info.artifacts =
+      ArtifactsFor(query, /*may_build=*/deferred == nullptr, &info.cache_hit);
+  if (info.artifacts == nullptr) {
+    return Status::FailedPrecondition("artifacts not resident");
+  }
   auto entry = std::make_shared<Entry>();
   entry->session = std::make_unique<NavigationSession>(
       eutils_, info.artifacts, query, strategy_factory_);
@@ -304,9 +290,13 @@ Status SessionManager::WithSession(
     }
   }
   if (entry == nullptr) {
-    Status restore_status;
-    entry = RestoreFromSpill(token, &restore_status);
-    if (entry == nullptr) return restore_status;
+    DiskWork work;
+    Result<std::shared_ptr<Entry>> restored =
+        Restore(token, /*may_wait=*/true, &work);
+    // The stale record's unlink and the evictions, on this (pool) thread.
+    FinishDiskWork(std::move(work));
+    if (!restored.ok()) return restored.status();
+    entry = restored.TakeValue();
   }
   Status result;
   size_t bytes = 0;
@@ -345,8 +335,10 @@ bool SessionManager::TryWithSession(
     }
   }
   if (entry == nullptr) {
-    entry = TryRestore(token, deferred);
-    if (entry == nullptr) return false;
+    Result<std::shared_ptr<Entry>> restored =
+        Restore(token, /*may_wait=*/false, deferred);
+    if (!restored.ok()) return false;
+    entry = restored.TakeValue();
   }
   std::unique_lock<std::mutex> op_lock(entry->op_mu, std::adopt_lock);
   const bool served = fn(*entry->session);
@@ -359,70 +351,6 @@ bool SessionManager::TryWithSession(
     SettleLocked(entry, bytes);
   }
   return served;
-}
-
-std::shared_ptr<SessionManager::Entry> SessionManager::TryRestore(
-    std::string_view token, DiskWork* deferred) {
-  std::shared_ptr<const std::string> record;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto parked = parked_.find(token);
-    if (parked == parked_.end() || parked->second.record == nullptr ||
-        restoring_.InFlight(token)) {
-      return nullptr;
-    }
-    record = parked->second.record;
-    restoring_.Join(token);  // Now this restore's owner.
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<std::unique_ptr<NavigationSession>> restored =
-      RebuildSession(*record, /*resident_only=*/true);
-  const int64_t restore_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  std::shared_ptr<Entry> entry;
-  std::promise<void> landed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    landed = restoring_.Land(token);
-    // Declined (its artifacts are not resident, or the record does not
-    // replay — the pool's restore then reports why), or closed meanwhile.
-    auto parked = parked_.find(token);
-    if (restored.ok() && parked != parked_.end()) {
-      entry = InsertRestoredLocked(parked, restored.TakeValue(), restore_us);
-      ++entry->inflight;  // Pinned; the op is counted once it is served.
-      ++counters_.restored_inline;
-      SessionsRestoredInline()->Increment();
-      // The record's file is still on disk; the pool unlinks it.
-      entry->spill = SpillState::kStaleFile;
-      deferred->unlinks_.push_back(entry);
-      entry->op_mu.lock();  // Fresh, so uncontended.
-      EvictToCapacityLocked(&deferred->spills_);
-    }
-  }
-  landed.set_value();
-  return entry;
-}
-
-std::shared_ptr<SessionManager::Entry> SessionManager::InsertRestoredLocked(
-    ParkedMap::iterator parked, std::unique_ptr<NavigationSession> session,
-    int64_t restore_us) {
-  auto entry = std::make_shared<Entry>();
-  entry->token = parked->first;
-  UnparkLocked(parked);
-  entry->session = std::move(session);
-  entry->mem_bytes = entry->session->MemoryBytes();
-  entry->last_used_ms = NowMs();
-  sessions_.emplace(entry->token, entry);
-  LruPushFrontLocked(*entry);
-  resident_bytes_ += entry->mem_bytes;
-  SessionHeapBytes()->Add(static_cast<int64_t>(entry->mem_bytes));
-  SessionsLive()->Add(1);
-  ++counters_.restored;
-  SessionsRestored()->Increment();
-  RestoreLatency()->Record(restore_us);
-  return entry;
 }
 
 void SessionManager::FinishDiskWork(DiskWork work) {
@@ -439,6 +367,7 @@ void SessionManager::FinishDiskWork(DiskWork work) {
     entry->spill = SpillState::kNone;
     unlinked_.notify_all();
   }
+  for (const std::string& token : work.deletes_) spill_->Delete(token);
 }
 
 void SessionManager::ParkLocked(const std::string& token,
@@ -494,32 +423,31 @@ void SessionManager::PinLocked(Entry& entry) {
   if (entry.spill == SpillState::kWriting) entry.spill = SpillState::kCancelled;
 }
 
-std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
-    std::string_view token, Status* status) {
-  *status = Status::NotFound("unknown session '" + std::string(token) + "'");
-  if (spill_ == nullptr) return nullptr;
-  const std::string token_str(token);
-
+Result<std::shared_ptr<SessionManager::Entry>> SessionManager::Restore(
+    std::string_view token, bool may_wait, DiskWork* work) {
   // Per-token singleflight: the first toucher of a parked token owns its
-  // restore; concurrent touchers wait for it, then look again and take the
-  // entry it inserted. Only the owner ever reads or deletes the record, so
-  // a toucher can never find the file already consumed and mistake a live
-  // session for a lost one.
+  // restore; on the pool, concurrent touchers wait for it, then look again
+  // and take the entry it inserted. Only the owner reads the record, so a
+  // toucher can never find it consumed and mistake a live session for a
+  // lost one.
   std::shared_ptr<const std::string> record;
   while (true) {
     std::optional<KeyedSingleflight<void>::Future> in_flight;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = sessions_.find(token);
+      auto it = may_wait ? sessions_.find(token) : sessions_.end();
       if (it != sessions_.end()) {
         PinLocked(*it->second);
-        *status = Status::OK();
         return it->second;
       }
-      if (!restoring_.InFlight(token)) {
-        auto parked = parked_.find(token);
-        if (parked == parked_.end()) return nullptr;
-        record = parked->second.record;
+      auto parked = parked_.find(token);
+      if (parked == parked_.end()) {
+        return Status::NotFound("unknown session '" + std::string(token) +
+                                "'");
+      }
+      record = parked->second.record;
+      if (!may_wait && (record == nullptr || restoring_.InFlight(token))) {
+        return Status::FailedPrecondition("restore would wait or read disk");
       }
       in_flight = restoring_.Join(token);
     }
@@ -528,34 +456,38 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
   }
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Decode, look up artifacts and replay — all outside mu_, and so is the
-  // disk read for a token adopted from a predecessor (the only kind whose
-  // record is not in memory). The usual restore is an artifact-cache hit
-  // and must not stall traffic to resident sessions.
-  Result<std::unique_ptr<NavigationSession>> restored =
-      Status::NotFound("no record");
-  if (record != nullptr) {
-    restored = RebuildSession(*record, /*resident_only=*/false);
-  } else {
-    Result<std::string> raw = spill_->Get(token_str);
-    restored = raw.ok() ? RebuildSession(raw.ValueOrDie(),
-                                         /*resident_only=*/false)
-                        : Result<std::unique_ptr<NavigationSession>>(
-                              raw.status());
-  }
-  // The record is consumed either way: restored into the heap, or unusable
-  // (corrupt, or the world changed under it) and dropped so the failure is
-  // not sticky. While this restore is in flight the token is neither
-  // resident nor re-parkable, so no newer record can be lost here.
-  spill_->Delete(token_str);
-
+  // Read (a token adopted from a predecessor is the only kind whose record
+  // is not in memory), decode, look up artifacts and replay — all outside
+  // mu_. The usual restore is an artifact-cache hit and must not stall
+  // traffic to resident sessions.
+  auto rebuild = [&]() -> Result<std::unique_ptr<NavigationSession>> {
+    std::string read;
+    if (record == nullptr) {
+      Result<std::string> raw = spill_->Get(std::string(token));
+      if (!raw.ok()) return raw.status();
+      read = raw.TakeValue();
+    }
+    Result<SessionSnapshot> snap =
+        DecodeSnapshot(record != nullptr ? *record : read);
+    if (!snap.ok()) return snap.status();
+    std::shared_ptr<const QueryArtifacts> artifacts =
+        ArtifactsFor(snap.ValueOrDie().query, may_wait, nullptr);
+    if (artifacts == nullptr) {
+      return Status::FailedPrecondition("artifacts not resident");
+    }
+    if (!may_wait && artifacts->nav->size() > kInlineRestoreMaxNodes) {
+      return Status::FailedPrecondition("tree too large to restore inline");
+    }
+    return RestoreSession(snap.ValueOrDie(), eutils_, std::move(artifacts),
+                          strategy_factory_);
+  };
+  Result<std::unique_ptr<NavigationSession>> restored = rebuild();
   const int64_t restore_us =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count();
+
   std::shared_ptr<Entry> entry;
-  std::vector<PendingSpill> evicted;
-  bool lost = false;
   std::promise<void> landed;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -563,30 +495,50 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
     // A CLOSE that raced the restore already unparked the token (and
     // counted the close); the session stays closed.
     auto parked = parked_.find(token);
-    if (parked != parked_.end()) {
-      if (!restored.ok()) {
-        UnparkLocked(parked);
-        ++counters_.restore_failed;
-        lost = true;
-      } else {
-        entry =
-            InsertRestoredLocked(parked, restored.TakeValue(), restore_us);
+    if (parked != parked_.end() && restored.ok()) {
+      entry = std::make_shared<Entry>();
+      entry->token = parked->first;
+      UnparkLocked(parked);
+      entry->session = restored.TakeValue();
+      entry->mem_bytes = entry->session->MemoryBytes();
+      entry->last_used_ms = NowMs();
+      // The record's file is still on disk; `work` unlinks it.
+      entry->spill = SpillState::kStaleFile;
+      work->unlinks_.push_back(entry);
+      sessions_.emplace(entry->token, entry);
+      LruPushFrontLocked(*entry);
+      resident_bytes_ += entry->mem_bytes;
+      SessionHeapBytes()->Add(static_cast<int64_t>(entry->mem_bytes));
+      SessionsLive()->Add(1);
+      ++counters_.restored;
+      SessionsRestored()->Increment();
+      RestoreLatency()->Record(restore_us);
+      if (may_wait) {
         PinLocked(*entry);
-        EvictToCapacityLocked(&evicted);
+      } else {
+        ++entry->inflight;  // Pinned; the op is counted once it is served.
+        ++counters_.restored_inline;
+        SessionsRestoredInline()->Increment();
+        entry->op_mu.lock();  // Fresh, so uncontended.
       }
+      EvictToCapacityLocked(&work->spills_);
+    } else if (parked != parked_.end() && may_wait) {
+      // Unusable (corrupt, or the world changed under it): the record is
+      // dropped so the failure is not sticky. Surfaces as NotFound — the
+      // wire maps it to UNKNOWN_SESSION like any dead token.
+      UnparkLocked(parked);
+      ++counters_.restore_failed;
+      SessionsRestoreFailed()->Increment();
+      work->deletes_.emplace_back(token);
     }
   }
   landed.set_value();
-  FinishSpills(std::move(evicted));
-  if (lost) {
-    // Surfaces as NotFound — the wire maps it to UNKNOWN_SESSION like any
-    // dead token.
-    SessionsRestoreFailed()->Increment();
-    *status = Status::NotFound("session '" + token_str + "' unrecoverable: " +
-                               restored.status().ToString());
+  if (entry != nullptr) return entry;
+  if (restored.ok()) {
+    return Status::NotFound("unknown session '" + std::string(token) + "'");
   }
-  if (entry != nullptr) *status = Status::OK();
-  return entry;
+  return Status::NotFound("session '" + std::string(token) +
+                          "' unrecoverable: " + restored.status().ToString());
 }
 
 Result<std::shared_ptr<const QueryArtifacts>> SessionManager::ArtifactsForKey(
@@ -602,39 +554,25 @@ Result<std::shared_ptr<const QueryArtifacts>> SessionManager::ArtifactsForKey(
   return lookup.artifacts;
 }
 
-bool SessionManager::Close(std::string_view token) {
+bool SessionManager::Close(std::string_view token, DiskWork* deferred) {
+  DiskWork work;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(token);
     if (it != sessions_.end()) {
       EraseResidentLocked(it);
-      ++counters_.closed;
-      SessionsClosed()->Increment();
-      return true;
+    } else {
+      auto parked = parked_.find(token);
+      if (parked == parked_.end()) return false;
+      UnparkLocked(parked);
+      // The token can never be parked or resident again, so this unlink
+      // is the last word on its file.
+      (deferred != nullptr ? deferred : &work)->deletes_.emplace_back(token);
     }
-    auto parked = parked_.find(token);
-    if (parked == parked_.end()) return false;
-    UnparkLocked(parked);
     ++counters_.closed;
     SessionsClosed()->Increment();
   }
-  // Unlinked outside the lock. The token is no longer parked, so no
-  // restore can begin on it, and it can never be resident again to be
-  // re-spilled: this unlink is the last word on its file.
-  spill_->Delete(std::string(token));
-  return true;
-}
-
-bool SessionManager::TryClose(std::string_view token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(token);
-  if (it == sessions_.end() || it->second->inflight != 0 ||
-      Writing(it->second->spill)) {
-    return false;
-  }
-  EraseResidentLocked(it);
-  ++counters_.closed;
-  SessionsClosed()->Increment();
+  FinishDiskWork(std::move(work));
   return true;
 }
 

@@ -117,7 +117,8 @@ struct SessionManagerStats {
 ///
 /// The map mutex is never held across disk I/O: spills encode under it and
 /// write outside it, and a parked token's file is unlinked outside it, so
-/// a reactor thread may take it (TryWithSession, an inline CreateSession).
+/// a reactor thread may take it (TryWithSession, an inline CreateSession
+/// or Close).
 /// The reactor's calls do no disk I/O at all: they hand what they would
 /// write or unlink back as DiskWork, for the caller to run off the
 /// reactor with FinishDiskWork.
@@ -150,8 +151,8 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Spill-tier disk work a reactor-side call left undone: snapshots of
-  /// evicted sessions to write, and stale records of sessions the reactor
-  /// restored to unlink. Run it on a pool thread with FinishDiskWork.
+  /// evicted sessions to write, and the files of restored or closed tokens
+  /// to unlink. Run it on a pool thread with FinishDiskWork.
   class DiskWork;
 
   /// What CreateSession produced: the registered session's token, the
@@ -174,8 +175,10 @@ class SessionManager {
   /// overlap, while concurrent creates of the *same* query singleflight on
   /// one build. When the new session pushes the table past capacity with
   /// the spill tier on, the victim's snapshot is written by this call,
-  /// after the map lock is released — or, with `deferred`, left there for
-  /// the caller.
+  /// after the map lock is released. With `deferred` (the reactor's call)
+  /// nothing is built or waited for — a query whose artifacts are not
+  /// resident gets FailedPrecondition — and the victim's snapshot is left
+  /// there for the caller.
   Result<CreateInfo> CreateSession(const std::string& query,
                                    DiskWork* deferred = nullptr);
 
@@ -187,7 +190,8 @@ class SessionManager {
   /// Looks up `token`, refreshes its TTL/LRU stamp, and runs `fn` on the
   /// session under its per-session mutex. A token parked in the spill tier
   /// is restored first (artifact rebuild + replay), transparently to the
-  /// caller. Returns NotFound if the token is not live (never created,
+  /// caller, and the restore's disk work is done before this returns.
+  /// Returns NotFound if the token is not live (never created,
   /// closed, evicted, expired, or its snapshot is unreadable) — the only
   /// NotFound this method itself produces; any other status comes from
   /// `fn`. Takes a view so arena-backed binary request tokens flow through
@@ -213,18 +217,14 @@ class SessionManager {
 
   /// Runs the disk work a reactor-side call deferred: writes its eviction
   /// spills (re-running capacity eviction as FinishSpills does) and
-  /// unlinks its stale records. Call it off the reactor.
+  /// unlinks the files it names. Call it off the reactor.
   void FinishDiskWork(DiskWork work);
 
-  /// Closes (unregisters) a session, resident or spilled. False if the
-  /// token was not live.
-  bool Close(std::string_view token);
-
-  /// The reactor's Close: closes `token` only when it is resident, not
-  /// being spilled and pinned by no operation (nothing to unlink here: a
-  /// stale record is its pending unlink's), nothing to wait for. False,
-  /// changing nothing, otherwise.
-  bool TryClose(std::string_view token);
+  /// Closes (unregisters) a session, resident or parked, without waiting
+  /// on anything. False if the token was not live. A parked token's file
+  /// is unlinked by this call — or, with `deferred`, left there for the
+  /// caller.
+  bool Close(std::string_view token, DiskWork* deferred = nullptr);
 
   /// Spills every resident session idle for spill_after_ms (skipping any
   /// with an operation in flight) to disk and drops it from the heap.
@@ -255,7 +255,7 @@ class SessionManager {
   SessionManagerStats stats() const;
 
   /// The shared artifact cache, or nullptr when cache_enabled is false.
-  const QueryArtifactCache* cache() const { return cache_.get(); }
+  QueryArtifactCache* cache() const { return cache_.get(); }
 
  private:
   /// Transparent hashing so string_view tokens (viewing a binary request
@@ -276,9 +276,9 @@ class SessionManager {
     /// As kWriting, but a touch or CLOSE came meanwhile and wins: the
     /// writer deletes its file and the session stays as it is.
     kCancelled,
-    /// Restored on the reactor with its record still on disk: a DiskWork
-    /// unlink owns that file. A spill may begin and take the file over
-    /// (its write replaces the record); the unlink then leaves it alone.
+    /// Restored with its record still on disk: a DiskWork unlink owns
+    /// that file. A spill may begin and take the file over (its write
+    /// replaces the record); the unlink then leaves it alone.
     kStaleFile,
     /// The stale file is being unlinked outside the lock; no spill may
     /// begin until that is done.
@@ -335,13 +335,17 @@ class SessionManager {
  public:
   class DiskWork {
    public:
-    bool empty() const { return spills_.empty() && unlinks_.empty(); }
+    bool empty() const {
+      return spills_.empty() && unlinks_.empty() && deletes_.empty();
+    }
 
    private:
     friend class SessionManager;
     std::vector<PendingSpill> spills_;
     /// Entries restored as kStaleFile, whose token's file is to go.
     std::vector<std::shared_ptr<Entry>> unlinks_;
+    /// Files no entry owns: of tokens closed while parked, or unrestorable.
+    std::vector<std::string> deletes_;
   };
 
  private:
@@ -356,15 +360,11 @@ class SessionManager {
       const std::string& query, bool allow_peer);
   /// The artifacts of `query`: through the cache (its singleflight, then
   /// a peer fetch or local build) when it is on, else built privately.
-  /// `*cache_hit` (optional) reports a cache hit.
+  /// Without `may_build`, only a bundle the cache holds ready (null
+  /// otherwise). `*cache_hit` (optional) reports a cache hit.
   std::shared_ptr<const QueryArtifacts> ArtifactsFor(const std::string& query,
+                                                     bool may_build,
                                                      bool* cache_hit);
-  /// Decodes a parked record and replays it over its query's artifacts —
-  /// with `resident_only`, only when the cache already holds them and
-  /// their tree has at most kInlineRestoreMaxNodes nodes
-  /// (FailedPrecondition otherwise), so nothing is built or fetched.
-  Result<std::unique_ptr<NavigationSession>> RebuildSession(
-      std::string_view record, bool resident_only);
   /// The one TTL-expiry predicate: idle past the TTL and not pinned by an
   /// op in flight. Requires mu_ held.
   bool ExpiredLocked(const Entry& entry, int64_t now_ms) const;
@@ -411,24 +411,20 @@ class SessionManager {
   /// it used and settles the heap gauge with its new `bytes`, unless it
   /// left the map meanwhile.
   void SettleLocked(const std::shared_ptr<Entry>& entry, size_t bytes);
-  /// Restores `token` from the spill tier, registers it, and returns the
-  /// entry pinned (inflight incremented). Concurrent callers for one token
-  /// share a single restore. On failure returns null and reports through
-  /// `status`.
-  std::shared_ptr<Entry> RestoreFromSpill(std::string_view token,
-                                          Status* status);
-  /// TryWithSession's restore: restores a parked `token` from its
-  /// in-memory record when no one else is restoring it and its artifacts
-  /// are resident, and returns the entry pinned with its op_mu held, its
-  /// stale file and evictions left in `deferred`. Null, with the token
-  /// still parked, otherwise.
-  std::shared_ptr<Entry> TryRestore(std::string_view token,
-                                    DiskWork* deferred);
-  /// Registers a restored session under the token of `parked`, which is
-  /// unparked. Requires mu_.
-  std::shared_ptr<Entry> InsertRestoredLocked(
-      ParkedMap::iterator parked, std::unique_ptr<NavigationSession> session,
-      int64_t restore_us);
+  /// Restores parked `token`: decodes its record, replays it over its
+  /// query's artifacts and registers the session in kStaleFile, leaving
+  /// the file's unlink and any eviction in `work`; a restore itself never
+  /// touches the file. Concurrent callers for one token share a single
+  /// restore. With `may_wait` (the pool), it waits on another caller's
+  /// restore, reads a record that is only on disk and builds artifacts;
+  /// the entry comes back pinned as by WithSession, and an unusable
+  /// record unparks the token and queues its file's unlink. Without it
+  /// (the reactor), any of that declines, leaving the token parked;
+  /// restores run only for trees of at most kInlineRestoreMaxNodes nodes,
+  /// and the entry comes back pinned with its op_mu held. NotFound for a
+  /// token that is not parked.
+  Result<std::shared_ptr<Entry>> Restore(std::string_view token,
+                                         bool may_wait, DiskWork* work);
   /// Parks `token` with its just-written `record` in memory, dropping the
   /// oldest in-memory records past max_sessions. Requires mu_.
   void ParkLocked(const std::string& token,

@@ -116,9 +116,9 @@ TEST(QueryArtifactCacheTest, LruEvictsColdestWithinByteBudget) {
   now = 3;
   cache.GetOrBuild(key_c, [&] { return MakeStub(key_c); });
 
-  EXPECT_TRUE(cache.Contains(key_a));
-  EXPECT_FALSE(cache.Contains(key_b)) << "LRU entry must be evicted";
-  EXPECT_TRUE(cache.Contains(key_c));
+  EXPECT_NE(cache.Peek(key_a), nullptr);
+  EXPECT_EQ(cache.Peek(key_b), nullptr) << "LRU entry must be evicted";
+  EXPECT_NE(cache.Peek(key_c), nullptr);
   QueryArtifactCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evicted_lru, 1);
   EXPECT_EQ(stats.entries, 2);
@@ -135,10 +135,10 @@ TEST(QueryArtifactCacheTest, OversizedNewestEntryIsExemptFromEviction) {
   QueryArtifactCache cache(options);
 
   cache.GetOrBuild(key_a, [&] { return MakeStub(key_a); });
-  EXPECT_TRUE(cache.Contains(key_a)) << "newest bundle must not self-evict";
+  EXPECT_NE(cache.Peek(key_a), nullptr) << "newest bundle must not self-evict";
   cache.GetOrBuild(key_b, [&] { return MakeStub(key_b); });
-  EXPECT_FALSE(cache.Contains(key_a));
-  EXPECT_TRUE(cache.Contains(key_b));
+  EXPECT_EQ(cache.Peek(key_a), nullptr);
+  EXPECT_NE(cache.Peek(key_b), nullptr);
   EXPECT_EQ(cache.stats().evicted_lru, 1);
   EXPECT_EQ(cache.stats().entries, 1);
 }
@@ -159,9 +159,9 @@ TEST(QueryArtifactCacheTest, TtlExpiresFromInsertTime) {
   now = 900;
   // Hits do not extend the TTL: age counts from insert.
   EXPECT_TRUE(cache.GetOrBuild("q", builder).hit);
-  EXPECT_TRUE(cache.Contains("q"));
+  EXPECT_NE(cache.Peek("q"), nullptr);
   now = 1001;
-  EXPECT_FALSE(cache.Contains("q"));
+  EXPECT_EQ(cache.Peek("q"), nullptr);
   EXPECT_FALSE(cache.GetOrBuild("q", builder).hit) << "expired -> rebuild";
   EXPECT_EQ(builds, 2);
 
@@ -175,11 +175,11 @@ TEST(QueryArtifactCacheTest, TtlExpiresFromInsertTime) {
 TEST(QueryArtifactCacheTest, InvalidateDropsEntryAndItsBytes) {
   QueryArtifactCache cache;
   auto lookup = cache.GetOrBuild("q", [&] { return MakeStub("q"); });
-  EXPECT_TRUE(cache.Contains("q"));
+  EXPECT_NE(cache.Peek("q"), nullptr);
   EXPECT_GT(cache.stats().bytes, 0);
 
   EXPECT_TRUE(cache.Invalidate("q"));
-  EXPECT_FALSE(cache.Contains("q"));
+  EXPECT_EQ(cache.Peek("q"), nullptr);
   EXPECT_FALSE(cache.Invalidate("q"));
   EXPECT_EQ(cache.stats().entries, 0);
   EXPECT_EQ(cache.stats().bytes, 0);
@@ -249,8 +249,8 @@ TEST(QueryArtifactCacheTest, TemplateBytesGrowFootprintAndCountTowardBudget) {
   EXPECT_TRUE(cache.GetOrBuild(key_a, [&] { return MakeStub(key_a); }).hit);
   EXPECT_GT(cache.stats().bytes, resident_before)
       << "hit did not refresh the entry's footprint";
-  EXPECT_TRUE(cache.Contains(key_a));
-  EXPECT_FALSE(cache.Contains(key_b))
+  EXPECT_NE(cache.Peek(key_a), nullptr);
+  EXPECT_EQ(cache.Peek(key_b), nullptr)
       << "LRU budget must count rendered template bytes";
   EXPECT_EQ(cache.stats().evicted_lru, 1);
   EXPECT_GE(cache.stats().bytes,

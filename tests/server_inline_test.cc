@@ -1,7 +1,8 @@
 // Inline-dispatch tests of NavServer: with every compute worker held by a
 // cold EXPAND, the reactor still answers SHOWRESULTS, BACKTRACK, FIND and
-// CLOSE on a resident, idle session, an op on a session it restores from
-// its in-memory record, and an EXPAND whose cut the query's memo holds —
+// CLOSE on a resident, idle session, a CLOSE of a parked one, an op on a
+// session it restores from its in-memory record, and an EXPAND whose cut
+// the query's memo holds —
 // while an op on a session adopted from disk, on a pinned session, an
 // EXPAND the memo cannot answer and a SHOWRESULTS over a large component
 // wait for the pool. Inline replies are byte-identical to pool replies in
@@ -89,6 +90,14 @@ std::string MakeSpillDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "bionav_inline_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+size_t CountSnapshotFiles(const std::string& dir) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".snap") ++count;
+  }
+  return count;
 }
 
 /// Counts the spill tier's disk calls, and those made on a reactor thread.
@@ -415,7 +424,9 @@ TEST_P(NavServerInline, InlineOpsAnswerWhileATemplateRenderIsHeld) {
 TEST_P(NavServerInline, ReactorIssuesNoSpillStoreIo) {
   // Parked-token traffic with a small table: inline QUERYs evict, inline
   // ops restore from memory, CLOSEs unlink, and an adopted token restores
-  // from its file. Every spill-store call runs off the reactor.
+  // from its file. Every spill-store call runs off the reactor, and so
+  // does every artifact build (the peer-fetch hook runs inside each),
+  // also for a key dropped from the cache just after it was built.
   const std::string dir = MakeSpillDir(
       GetParam() == WireProto::kJson ? "io_json" : "io_binary");
   std::string adopted;
@@ -431,6 +442,12 @@ TEST_P(NavServerInline, ReactorIssuesNoSpillStoreIo) {
   options.threads = 2;
   options.session.max_sessions = 3;
   options.session.spill_dir = dir;
+  std::atomic<int> builds{0}, builds_on_reactor{0};
+  options.session.peer_fetcher = [&](const std::string&) {
+    ++builds;
+    if (EventLoop::OnAnyLoopThread()) ++builds_on_reactor;
+    return std::shared_ptr<const QueryArtifacts>();
+  };
   auto owned = std::make_unique<RecordingSpillStore>(dir);
   RecordingSpillStore* store = owned.get();
   auto server = StartServerWith(options, std::move(owned));
@@ -461,6 +478,16 @@ TEST_P(NavServerInline, ReactorIssuesNoSpillStoreIo) {
       EXPECT_TRUE(client->CloseSession(token).ok());
     }
   }
+  // The key just built leaves the cache: the reactor declines the QUERY
+  // and the restore that would need it, and the pool builds it again.
+  QueryArtifactCache* cache = server->session_manager().cache();
+  const int builds_before = builds.load();
+  ASSERT_TRUE(cache->Invalidate(NormalizeQueryKey("prothymosin")));
+  const std::string reopened = Open(*client, "prothymosin");
+  server->session_manager().SpillAll();
+  ASSERT_TRUE(cache->Invalidate(NormalizeQueryKey("prothymosin")));
+  EXPECT_TRUE(client->ShowResults(reopened, NavigationTree::kRoot).ok());
+  EXPECT_EQ(builds.load(), builds_before + 2);
   server->Shutdown();
   const SessionManagerStats stats = server->session_manager().stats();
   EXPECT_GT(stats.restored_inline, 0);
@@ -469,6 +496,43 @@ TEST_P(NavServerInline, ReactorIssuesNoSpillStoreIo) {
   EXPECT_GT(InlineCount(RequestOp::kQuery), queries);
   EXPECT_GT(store->calls(), 0);
   EXPECT_EQ(store->on_reactor(), 0);
+  EXPECT_EQ(builds_on_reactor.load(), 0);
+}
+
+TEST_P(NavServerInline, ParkedCloseAnswersInlineAndThePoolUnlinks) {
+  // A CLOSE of a parked token never waits: the reactor answers it while
+  // the pool is held, and the pool unlinks the token's file later.
+  const std::string dir = MakeSpillDir(
+      GetParam() == WireProto::kJson ? "close_json" : "close_binary");
+  auto server = StartServer(dir);
+  auto client = Connect(server->port());
+  ASSERT_NE(client, nullptr);
+  const std::string parked = Open(*client, "prothymosin");
+  const std::string cold = Open(*client, "cardiology");
+  ASSERT_EQ(server->session_manager().SpillAll(), 2u);
+  ASSERT_EQ(CountSnapshotFiles(dir), 2u);
+
+  // The reactor restores `cold` and leaves its cut to the pool's only
+  // worker, which first unlinks `cold`'s file, then blocks on the cut.
+  gate_.Arm();
+  std::thread blocker([&] {
+    auto own = Connect(server->port());
+    ASSERT_NE(own, nullptr);
+    EXPECT_TRUE(own->Expand(cold, NavigationTree::kRoot).ok());
+  });
+  ASSERT_TRUE(gate_.AwaitHeld());
+  ASSERT_EQ(CountSnapshotFiles(dir), 1u);
+  const int64_t before = InlineCount(RequestOp::kClose);
+  EXPECT_TRUE(client->CloseSession(parked).ok());
+  EXPECT_EQ(InlineCount(RequestOp::kClose), before + 1);
+  EXPECT_EQ(server->session_manager().stats().spilled_now, 0u);
+  EXPECT_EQ(CountSnapshotFiles(dir), 1u) << "unlinked on the reactor";
+  gate_.Release();
+  blocker.join();
+  EXPECT_FALSE(client->CloseSession(parked).ok());
+  server->Shutdown();  // Drains the pool, and with it the unlink.
+  EXPECT_EQ(CountSnapshotFiles(dir), 0u);
+  EXPECT_EQ(server->session_manager().stats().closed, 1);
 }
 
 /// A raw connection in the parameter's encoding, for pipelining requests

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bionav.h"
+#include "persist/session_snapshot.h"
 #include "test_support.h"
 
 namespace bionav {
@@ -1024,6 +1025,59 @@ TEST(NavServerSpillE2E, RestoredWireSessionIsByteIdentical) {
 
   EXPECT_TRUE(client.CloseSession(token).ok());
   EXPECT_TRUE(client.CloseSession(twin_token).ok());
+  server.Shutdown();
+}
+
+TEST(NavServerSpillE2E, CorruptRecordRepliesUnknownSessionAndLeavesNoFile) {
+  // A record only on disk (adopted from a predecessor) is restored by the
+  // pool; when it does not decode, the reply is UNKNOWN_SESSION naming
+  // why, and the file is gone by the time the reply arrives.
+  MiniFixture fixture;
+  std::string dir = MakeSpillDir("e2e_corrupt");
+  std::string token;
+  {
+    SessionManagerOptions options;
+    options.spill_dir = dir;
+    SessionManager predecessor(&fixture.mesh, fixture.eutils.get(),
+                               MakeBioNavStrategyFactory(), options);
+    token = predecessor.Create("prothymosin").ValueOrDie();
+    ASSERT_EQ(predecessor.SpillAll(), 1u);
+  }
+  std::string half;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".snap") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    half = bytes.substr(0, bytes.size() / 2);
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out.write(half.data(), static_cast<std::streamsize>(half.size()));
+  }
+  const Status corrupt = DecodeSnapshot(half).status();
+  ASSERT_FALSE(corrupt.ok());
+
+  NavServerOptions options;
+  options.threads = 1;
+  options.session.spill_dir = dir;
+  NavServer server(&fixture.mesh, fixture.eutils.get(),
+                   MakeBioNavStrategyFactory(), options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connected = NavClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  Request show;
+  show.op = RequestOp::kShowResults;
+  show.token = token;
+  show.node = NavigationTree::kRoot;
+  auto reply = connected.ValueOrDie()->CallRaw(show);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply.ValueOrDie().BoolOr("ok", true));
+  EXPECT_EQ(reply.ValueOrDie().StringOr("error", ""), "UNKNOWN_SESSION");
+  EXPECT_EQ(reply.ValueOrDie().StringOr("message", ""),
+            "session '" + token + "' unrecoverable: " + corrupt.ToString());
+  EXPECT_EQ(CountSnapshotFiles(dir), 0u);
+  SessionManagerStats stats = server.session_manager().stats();
+  EXPECT_EQ(stats.restore_failed, 1);
+  EXPECT_EQ(stats.spilled_now, 0u);
   server.Shutdown();
 }
 
